@@ -14,14 +14,7 @@ import multiprocessing
 import time
 from dataclasses import dataclass, field
 
-from .curve import (
-    BadReduction,
-    CurveOverQ,
-    ReducedCurve,
-    group_structure,
-    has_full_ell_torsion,
-    reduce,
-)
+from .curve import CurveOverQ, ReducedCurve, group_structure, has_full_ell_torsion
 from .modmath import factorize, moebius, sieve_primes
 from .utils import truncate_decimal
 
@@ -120,65 +113,58 @@ class CensusReport:
         return rep
 
 
+def _first_invariants(curve: CurveOverQ, primes):
+    """Yield (p, d) for each prime: d is the first invariant factor of the
+    reduced point group, and 0 marks a prime of bad reduction."""
+    A, B, delta = curve.A, curve.B, curve.delta_E
+    for p in primes:
+        if delta % p == 0:
+            yield p, 0
+        else:
+            yield p, group_structure(ReducedCurve(p, A % p, B % p)).d
+
+
+def _classify(p: int, d: int) -> tuple[int, str, tuple[int, ...]]:
+    """(p, status, obstruction primes) from the first invariant d."""
+    if d == 0:
+        return p, "bad_reduction", ()
+    if d == 1:
+        return p, "cyclic", ()
+    return p, "non_cyclic", tuple(q for q, _ in factorize(d))
+
+
 def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     """Classify one prime: bad reduction, cyclic group, or non-cyclic group.
 
     For non-cyclic groups the obstruction primes are the prime divisors of
     the first group invariant d (the primes with full torsion at p).
     """
-    try:
-        C = reduce(curve, p)
-    except BadReduction:
-        return PrimeClassification(p, "bad_reduction")
-    st = group_structure(C)
-    if st.d == 1:
-        return PrimeClassification(p, "cyclic")
-    obst = tuple(q for q, _ in factorize(st.d))
-    return PrimeClassification(p, "non_cyclic", obst)
+    if p < 2:
+        raise ValueError(f"not a prime: {p}")
+    _, d = next(_first_invariants(curve, (p,)))
+    return PrimeClassification(*_classify(p, d))
 
 
 def _classify_chunk(args):
-    """Worker body: classify one chunk of primes for curve (a, b).
+    """Worker body: classify one chunk of primes for a curve.
 
     Module-level so multiprocessing can pickle it.  Returns the chunk
     record plus per-prime rows when requested.
     """
-    a, b, delta, primes, split_primes, want_rows = args
-    bad: list[int] = []
-    cyclic = 0
-    good = 0
-    split = {l: 0 for l in split_primes}
-    rows: list[tuple[int, str, tuple[int, ...]]] | None = [] if want_rows else None
-    for p in primes:
-        if delta % p == 0:
-            bad.append(p)
-            if rows is not None:
-                rows.append((p, "bad_reduction", ()))
-            continue
-        st = group_structure(ReducedCurve(p, a % p, b % p))
-        good += 1
-        if st.d == 1:
-            cyclic += 1
-            if rows is not None:
-                rows.append((p, "cyclic", ()))
-        else:
-            obst = tuple(q for q, _ in factorize(st.d))
-            for q in obst:
-                if q in split:
-                    split[q] += 1
-            if rows is not None:
-                rows.append((p, "non_cyclic", obst))
+    curve, primes, split_primes, want_rows = args
+    rows = [_classify(p, d) for p, d in _first_invariants(curve, primes)]
+    bad = [p for p, status, _ in rows if status == "bad_reduction"]
     record = {
         "kind": "chunk",
         "first": primes[0],
         "last": primes[-1],
         "count": len(primes),
-        "good": good,
-        "cyclic": cyclic,
+        "good": len(primes) - len(bad),
+        "cyclic": sum(status == "cyclic" for _, status, _ in rows),
         "bad": bad,
-        "split": {str(l): split[l] for l in split_primes},
+        "split": {str(l): sum(l in obst for _, _, obst in rows) for l in split_primes},
     }
-    return record, rows
+    return record, rows if want_rows else None
 
 
 def _load_checkpoint(path: str, a: int, b: int, split_primes) -> dict:
@@ -257,7 +243,6 @@ def run_census(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     start = time.monotonic()
-    delta = curve.delta_E
     primes = sieve_primes(x)
     chunks = [primes[i : i + CHUNK_SIZE] for i in range(0, len(primes), CHUNK_SIZE)]
 
@@ -303,7 +288,7 @@ def run_census(
         if not want_rows and key in saved:
             reused[i] = saved[key]
         else:
-            tasks.append((i, (curve.A, curve.B, delta, chunk, split_primes, want_rows)))
+            tasks.append((i, (curve, chunk, split_primes, want_rows)))
 
     computed: dict[int, tuple[dict, list | None]] = {}
     try:
@@ -417,18 +402,16 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     if n < 1:
         raise ValueError("modulus must be at least 1")
     ell = tuple(q for q, _ in factorize(n)) if n > 1 else ()
-    delta = curve.delta_E
     direct = 0
     # Squarefree divisors of n, as subsets of its prime support.
     sq_divs = [1]
     for q in ell:
         sq_divs.extend(m * q for m in list(sq_divs))
     full_counts = {m: 0 for m in sq_divs}
-    for p in sieve_primes(x):
-        if delta % p == 0:
+    for _, d in _first_invariants(curve, sieve_primes(x)):
+        if d == 0:
             continue
-        st = group_structure(ReducedCurve(p, curve.A % p, curve.B % p))
-        torsion = {q for q in ell if st.d % q == 0}
+        torsion = {q for q in ell if d % q == 0}
         if not torsion:
             direct += 1
         for m in sq_divs:

@@ -24,6 +24,7 @@ from .entangle import (
 )
 from .galois_image import InvalidPrime, certify_surjective, two_division_degree
 from .ingest import FixtureMissing, SchemaMismatch, ingest_degrees
+from .modmath import SIEVE_LIMIT
 from .registry import REFERENCE_LIMIT, REGISTRY, get_curve
 from .utils import truncate_decimal, write_json_atomic
 
@@ -55,8 +56,10 @@ def cmd_census(args) -> int:
         curve, label, spec = _resolve_curve(args)
     except (ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if args.limit < 2:
-        return _fail("--limit must be at least 2", EXIT_USAGE)
+    if not 2 <= args.limit <= SIEVE_LIMIT:
+        return _fail("--limit must be between 2 and 2**32", EXIT_USAGE)
+    if args.workers < 1:
+        return _fail("--workers must be at least 1", EXIT_USAGE)
     try:
         report = run_census(
             curve,
@@ -115,9 +118,7 @@ def _resolve_profile(args) -> DegreeProfile:
             doc = json.load(fh)
         return DegreeProfile.from_json_dict(doc)
     if args.ingest is not None:
-        return ingest_degrees(
-            args.ingest, source=args.fixtures, remote_base=args.remote_base
-        )
+        return ingest_degrees(args.ingest, source=args.fixtures)
     return DegreeProfile()
 
 
@@ -189,6 +190,8 @@ def cmd_galois(args) -> int:
         curve, _, _ = _resolve_curve(args)
     except (ValueError, KeyError) as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if args.l is not None and not 2 <= args.sample_bound <= SIEVE_LIMIT:
+        return _fail("--sample-bound must be between 2 and 2**32", EXIT_USAGE)
     print(f"two-division degree: {two_division_degree(curve)}")
     if args.l is not None:
         try:
@@ -246,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="degree profile JSON file")
     p.add_argument("--ingest", metavar="LABEL", help="load profile from fixtures")
     p.add_argument("--fixtures", help="fixture directory override")
-    p.add_argument("--remote-base", help="base URL for fixture fetch-and-cache")
     p.add_argument("--truncation", type=int, default=10**5)
     p.add_argument("--output", help="write the report JSON here")
     p.set_defaults(func=cmd_density)

@@ -121,9 +121,9 @@ def _add_raw(P, Q, p, a):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, p - 2, p) % p
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - x1 - x2) % p
     return (x3, (lam * (x1 - x3) - y1) % p)
 
@@ -245,28 +245,19 @@ def _window_annihilators(P, p, a, lo, hi):
     """
     width = hi - lo + 1
     m = isqrt(width - 1) + 1
-    px, py = P
-    pm2 = p - 2
-    tab = {px: (1, py)}
-    bx, by = px, py
+    tab = {P[0]: (1, P[1])}
+    B = P
     order = 0
     for j in range(2, m):
-        # baby step: B_j = B_{j-1} + P.  The walk meets O first at
-        # j = ord(P), flagged one step early by B_{j-1} = -P.
-        if bx == px:
-            if (by + py) % p == 0:
-                order = j
-                break
-            lam = (3 * px * px + a) * pow(2 * py, pm2, p) % p
-        else:
-            lam = (by - py) * pow(bx - px, pm2, p) % p
-        nx = (lam * lam - px - bx) % p
-        by = (lam * (px - nx) - py) % p
-        bx = nx
-        tab.setdefault(bx, (j, by))
+        # baby step B_j = B_{j-1} + P; the walk meets O first at j = ord(P)
+        B = _add_raw(B, P, p, a)
+        if B is None:
+            order = j
+            break
+        tab.setdefault(B[0], (j, B[1]))
     G = None
     if not order:
-        G = _mul_raw(m, (px, py), p, a)
+        G = _mul_raw(m, P, p, a)
         if G is None:
             # not annihilated below m but killed by m, so ord(P) = m
             order = m
@@ -284,8 +275,7 @@ def _window_annihilators(P, p, a, lo, hi):
     if order:
         first = ((lo + order - 1) // order) * order
         return list(range(first, hi + 1, order))
-    gx, gy = G
-    T = _mul_raw(lo, (px, py), p, a)
+    T = _mul_raw(lo, P, p, a)
     hits = []
     base = lo
     for _ in range((width - 1) // m + 2):
@@ -300,22 +290,7 @@ def _window_annihilators(P, p, a, lo, hi):
                     hits.append(base + j)
                 if ty == yj:
                     hits.append(base - j)
-        # T += G, inlined
-        if T is None:
-            T = G
-        else:
-            tx, ty = T
-            if tx == gx:
-                if (ty + gy) % p == 0:
-                    T = None
-                else:
-                    lam = (3 * tx * tx + a) * pow(2 * ty, pm2, p) % p
-                    nx = (lam * lam - tx - tx) % p
-                    T = (nx, (lam * (tx - nx) - ty) % p)
-            else:
-                lam = (gy - ty) * pow(gx - tx, pm2, p) % p
-                nx = (lam * lam - tx - gx) % p
-                T = (nx, (lam * (gx - nx) - gy) % p)
+        T = _add_raw(T, G, p, a)
         base += m
     out = sorted(k for k in set(hits) if lo <= k <= hi)
     if not out:

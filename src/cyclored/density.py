@@ -408,26 +408,25 @@ def build_density_report(
 ) -> DensityReport:
     """Assemble the full density picture for one profile.
 
-    The truncation point is raised to cover every annotated prime, which
-    makes the two decompositions exactly equal as intervals: alpha times
-    the substituted product, and c times the maximal product.  That
-    equality is asserted, not assumed.
+    The truncation point is raised to cover every annotated prime, so the
+    substituted product equals the maximal product times the exact ratio
+    c_factor(profile, 1) of the annotated Euler factors.  One product is
+    evaluated, and naive and delta are exact rational rescalings of it;
+    naive_density evaluates the substituted product directly and is the
+    reference they are checked against.
     """
     ann = profile.annotated_primes()
     L = max(L, max(ann, default=0), 2)
     a_inf = artin_constant(L)
-    naive = naive_density(profile, L)
     if profile.charsum:
         cs = charsum_alpha({l: profile.degree(l) for l in sorted(profile.charsum)})
     else:
         cs = Fraction(1)
     sf = superfluous_correction(profile)
     alpha = cs * sf
-    delta = naive.scale(alpha)
     c = c_factor(profile, alpha)
-    recomposed = a_inf.scale(c)
-    if (delta.lo, delta.hi) != (recomposed.lo, recomposed.hi):
-        raise AssertionError("decompositions of the density disagree")
+    naive = a_inf.scale(c_factor(profile, 1))
+    delta = a_inf.scale(c)
     vanishing = classify_vanishing(naive, alpha, profile)
     return DensityReport(
         profile=profile,

@@ -90,10 +90,14 @@ class MatrixTuple:
                 raise ValueError(f"singular component modulo {l}")
 
     def code(self) -> int:
-        c = 0
-        for m, l in zip(self.mats, self.moduli):
-            c = c * l**4 + _pack_mat(m, l)
-        return c
+        return _encode(self.mats, self.moduli)
+
+
+def _encode(mats, moduli: tuple[int, ...]) -> int:
+    c = 0
+    for m, l in zip(mats, moduli):
+        c = c * l**4 + _pack_mat(m, l)
+    return c
 
 
 def _decode(code: int, moduli: tuple[int, ...]) -> tuple[Mat, ...]:
@@ -144,10 +148,7 @@ class MatrixTupleGroup:
         return len(self.elements)
 
     def identity_code(self) -> int:
-        c = 0
-        for l in self.moduli:
-            c = c * l**4 + _pack_mat(_ID, l)
-        return c
+        return _encode((_ID,) * len(self.moduli), self.moduli)
 
     def decode(self, code: int) -> tuple[Mat, ...]:
         return _decode(int(code), self.moduli)
@@ -179,12 +180,14 @@ def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> Matr
     Breadth-first multiplication by the generators; in a finite group
     the multiplicative closure of a set containing the identity is the
     generated subgroup, so inverses need no separate handling.
+    Generators are validated once on entry; a product of invertible
+    reduced matrices needs no re-validation, so products go straight to
+    their codes.
     """
     moduli = tuple(moduli)
     gens = [g if isinstance(g, MatrixTuple) else MatrixTuple(moduli, g) for g in generators]
-    id_mats = tuple(_ID for _ in moduli)
-    id_code = MatrixTuple(moduli, id_mats).code()
-    seen = {id_code}
+    id_mats = (_ID,) * len(moduli)
+    seen = {_encode(id_mats, moduli)}
     frontier = [id_mats]
     while frontier:
         fresh = []
@@ -193,7 +196,7 @@ def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> Matr
                 nxt = tuple(
                     _mat_mul(m, gm, l) for m, gm, l in zip(mats, g.mats, moduli)
                 )
-                code = MatrixTuple(moduli, nxt).code()
+                code = _encode(nxt, moduli)
                 if code not in seen:
                     if len(seen) >= cap:
                         raise ClosureCapExceeded(f"more than {cap} elements")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .curve import BadReduction, CurveOverQ, group_order, reduce
-from .modmath import divisors, is_prime, legendre, pow_mod, sieve_primes
+from .modmath import divisors, is_prime, legendre, sieve_primes
 
 DEFAULT_SAMPLE_BOUND = 10**4
 
@@ -139,7 +139,7 @@ def certify_surjective(
                     w1 = True
                 else:
                     w2 = True
-            u = t * t * pow_mod(d, l - 2, l) % l
+            u = t * t * pow(d, -1, l) % l
             if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % l != 0:
                 w3 = True
         if certifiable and w1 and w2 and w3:

@@ -1,26 +1,22 @@
-"""Degree-profile ingestion from fixture files, with optional remote
-fetch-and-cache.  Offline is the default and tests rely on it: nothing
-touches the network unless a base URL is passed explicitly."""
+"""Degree-profile ingestion from local fixture files."""
 
 from __future__ import annotations
 
 import json
 import os
-import urllib.request
 from pathlib import Path
 
 from .density import DegreeProfile
-from .utils import write_text_atomic
 
 FIXTURE_ENV = "CYCLORED_FIXTURES"
 
 
 class FixtureMissing(Exception):
-    """No fixture file for the label and remote fetching is disabled."""
+    """No fixture file exists for the label."""
 
 
 class SchemaMismatch(Exception):
-    """Fixture or remote payload does not look like a degree profile."""
+    """Fixture payload does not look like a degree profile."""
 
 
 def fixture_dir() -> Path:
@@ -47,31 +43,13 @@ def _parse_profile_payload(label: str, text: str) -> DegreeProfile:
         raise SchemaMismatch(f"fixture for {label!r} is invalid: {exc}") from None
 
 
-def ingest_degrees(
-    label: str,
-    source: str | os.PathLike | None = None,
-    remote_base: str | None = None,
-) -> DegreeProfile:
+def ingest_degrees(label: str, source: str | os.PathLike | None = None) -> DegreeProfile:
     """Load the degree profile for a curve label.
 
-    source overrides the fixture directory.  When remote_base is given
-    (any URL urllib accepts, file:// included) and no fixture exists,
-    the payload is fetched from {remote_base}/{label}.json and cached
-    into the fixture directory for future offline runs.
+    source overrides the fixture directory.
     """
     base = Path(source) if source is not None else fixture_dir()
     path = base / f"{label}.json"
-    if path.exists():
-        return _parse_profile_payload(label, path.read_text())
-    if remote_base is None:
-        raise FixtureMissing(f"no fixture {path} and remote fetching is off")
-    url = f"{remote_base.rstrip('/')}/{label}.json"
-    try:
-        with urllib.request.urlopen(url) as resp:
-            text = resp.read().decode("utf-8")
-    except OSError as exc:
-        raise FixtureMissing(f"remote fetch of {url} failed: {exc}") from None
-    profile = _parse_profile_payload(label, text)
-    base.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(str(path), text)
-    return profile
+    if not path.exists():
+        raise FixtureMissing(f"no fixture {path}")
+    return _parse_profile_payload(label, path.read_text())

@@ -23,16 +23,8 @@ class LimitTooLarge(Exception):
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_BOUND = 100_000
+SIEVE_LIMIT = 1 << 32
 _small_primes_cache: list[int] | None = None
-
-
-def pow_mod(base: int, exp: int, modulus: int) -> int:
-    """Least non-negative residue of base**exp.  exp >= 0, modulus >= 1."""
-    if exp < 0:
-        raise ValueError("negative exponent")
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    return pow(base, exp, modulus)
 
 
 def legendre(a: int, p: int) -> int:
@@ -113,15 +105,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def ensure_prime_modulus(p: int) -> int:
-    """Validate an odd prime modulus in (2, 2**62) and return it."""
-    if not 2 < p < (1 << 62):
-        raise ValueError(f"modulus {p} out of range (2, 2**62)")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    return p
-
-
 def sieve_primes(x: int) -> list[int]:
     """Ordered list of all primes <= x (x >= 2).
 
@@ -130,7 +113,7 @@ def sieve_primes(x: int) -> list[int]:
     """
     if x < 2:
         raise ValueError("sieve bound must be at least 2")
-    if x > (1 << 32):
+    if x > SIEVE_LIMIT:
         raise LimitTooLarge(f"sieve bound {x} exceeds 2**32")
     # index i represents the odd number 2*i + 1
     half = (x + 1) // 2

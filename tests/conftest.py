@@ -2,12 +2,12 @@
 
 The oracles never call the code paths they validate: point counting is
 a full quadratic-residue scan and group invariants come from the order
-statistics of every single point.
+statistics of every single point or from counts of torsion points.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 from cyclored.curve import ReducedCurve
 
@@ -50,6 +50,16 @@ def brute_add(P, Q, p, a):
     return (x3, (lam * (x1 - x3) - y1) % p)
 
 
+def brute_mul(k, P, p, a):
+    R = None
+    while k:
+        if k & 1:
+            R = brute_add(R, P, p, a)
+        P = brute_add(P, P, p, a)
+        k >>= 1
+    return R
+
+
 def brute_point_order(P, p, a) -> int:
     n = 1
     T = P
@@ -72,6 +82,30 @@ def brute_structure(p: int, a: int, b: int) -> tuple[int, int, int]:
         exponent = exponent * o // gcd(exponent, o)
     assert n % exponent == 0
     return n, n // exponent, exponent
+
+
+def brute_first_invariant(p: int, a: int, b: int) -> int:
+    """First invariant factor d by counting torsion points: for each prime
+    l with l^2 | n, the l-part of d is l^k for the largest k with
+    #E[l^k](F_p) = l^(2k), where E[l^(k+1)] is every point that
+    multiplication by l sends into E[l^k]."""
+    pts = brute_points(p, a, b)
+    n = len(pts)
+    d = 1
+    for l in range(2, isqrt(n) + 1):
+        if n % (l * l) or any(l % q == 0 for q in range(2, l)):
+            continue
+        times_l = [brute_mul(l, P, p, a) for P in pts]
+        killed = {None}
+        k = 0
+        while True:
+            bigger = {P for P, lP in zip(pts, times_l) if lP in killed}
+            if len(bigger) != l ** (2 * k + 2):
+                break
+            killed = bigger
+            k += 1
+        d *= l**k
+    return d
 
 
 def reduced(A: int, B: int, p: int) -> ReducedCurve:

@@ -115,26 +115,6 @@ def test_ingest_missing_and_schema_errors(tmp_path):
         ingest_degrees("badkey", source=str(tmp_path))
 
 
-def test_ingest_remote_fetch_and_cache(tmp_path):
-    remote = tmp_path / "remote"
-    remote.mkdir()
-    doc = {"label": "fetched", "degrees": {"2": 3}, "charsum": [],
-           "superfluous": [], "overrides": {}}
-    (remote / "fetched.json").write_text(json.dumps(doc))
-    cache = tmp_path / "cache"
-    cache.mkdir()
-
-    prof = ingest_degrees("fetched", source=str(cache),
-                          remote_base=remote.as_uri())
-    assert prof.degrees == {2: 3}
-    # cached: works again with the remote gone
-    (remote / "fetched.json").unlink()
-    assert ingest_degrees("fetched", source=str(cache)) == prof
-
-    with pytest.raises(FixtureMissing):
-        ingest_degrees("absent", source=str(cache), remote_base=remote.as_uri())
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -326,6 +306,20 @@ def test_cli_constants(capsys):
     assert "hi    0.813" in out
     code, _, _ = run_cli(capsys, "constants", "--truncation", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, option", [
+    (("census", "--label", "serre-ex1", "--limit", "100", "--workers", "0"), "--workers"),
+    (("census", "--a", "1", "--b", "3", "--limit", "5000000000"), "--limit"),
+    (("galois", "--a", "1", "--b", "3", "--l", "5", "--sample-bound", "5000000000"),
+     "--sample-bound"),
+    (("galois", "--a", "1", "--b", "3", "--l", "5", "--sample-bound", "1"), "--sample-bound"),
+])
+def test_cli_rejects_out_of_range_options(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} ") and err.count("\n") == 1
 
 
 def test_cli_rejects_unknown_subcommand(capsys):

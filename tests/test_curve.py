@@ -5,7 +5,14 @@ import random
 
 import pytest
 
-from conftest import FIVE_CURVES, brute_points, brute_structure, reduced
+from conftest import (
+    FIVE_CURVES,
+    brute_first_invariant,
+    brute_points,
+    brute_structure,
+    reduced,
+)
+from cyclored import curve
 from cyclored.curve import (
     BadReduction,
     BadWitness,
@@ -126,6 +133,52 @@ def test_group_order_bsgs_matches_exhaustive():
             C = reduce(E, p)
             n = group_order(C)
             assert n == _order_exhaustive(p, C.a, C.b), (A, B, p)
+
+
+def _good_reductions_above_exhaustive_cutoff():
+    """((A, B), reduction) for every good prime in (2^10, 2^12] of the
+    five registry curves."""
+    for A, B in FIVE_CURVES:
+        E = CurveOverQ(A, B)
+        for p in sieve_primes(1 << 12):
+            if p > 1 << 10 and E.delta_E % p:
+                yield (A, B), reduce(E, p)
+
+
+def test_twist_pass_matches_exhaustive(monkeypatch):
+    # Two points per pass leave many orders ambiguous, so the quadratic
+    # twist pass (sampling stream tag 3) decides them.
+    monkeypatch.setattr(curve, "_SAMPLE_BUDGET", 2)
+    mix_seed = curve._mix_seed
+    twists = []
+
+    def counting_mix_seed(p, a, b, tag):
+        if tag == 3:
+            twists.append(p)
+        return mix_seed(p, a, b, tag)
+
+    monkeypatch.setattr(curve, "_mix_seed", counting_mix_seed)
+    for AB, C in _good_reductions_above_exhaustive_cutoff():
+        assert group_order(C) == _order_exhaustive(C.p, C.a, C.b), (AB, C.p)
+    assert len(twists) >= 20
+
+
+def test_sylow_certifier_matches_torsion_counts():
+    # Every prime where 4 | d or 9 | d is possible (d | p - 1, d^2 | n),
+    # plus a seeded sample of the others.
+    rng = random.Random(2)
+    deep = {4: 0, 9: 0}
+    for AB, C in _good_reductions_above_exhaustive_cutoff():
+        p, n = C.p, group_order(C)
+        if rng.random() > 0.03 and not any(
+            (p - 1) % m == 0 and n % (m * m) == 0 for m in deep
+        ):
+            continue
+        d = brute_first_invariant(p, C.a, C.b)
+        assert group_structure(C).d == d, (AB, p)
+        for m in deep:
+            deep[m] += d % m == 0
+    assert deep == {4: 30, 9: 5}
 
 
 def test_group_order_hasse_bound():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from cyclored.density import (
 )
 from cyclored.entangle import index2_character_subgroup
 from cyclored.modmath import sieve_primes
+from cyclored.registry import REGISTRY
 
 F = Fraction
 
@@ -312,6 +314,34 @@ def test_build_density_report_consistency():
     # report JSON is pure data and survives a round trip
     blob = json.dumps(rep.to_json_dict(), sort_keys=True)
     assert json.loads(blob) == rep.to_json_dict()
+
+
+def _random_admissible_profile(rng):
+    degs = {}
+    for l in (2, 3, 5, 7, 13):
+        if rng.random() < 0.7:
+            degs[l] = rng.randrange(2, gl2_order(l) + 1)
+    charsum = frozenset()
+    if len(degs) >= 2 and rng.random() < 0.5:
+        pick = rng.sample(sorted(degs), rng.randrange(2, len(degs) + 1))
+        if math.prod(degs[l] for l in pick) % 2 == 0:
+            charsum = frozenset(pick)
+    superfluous = frozenset(l for l in degs if l not in charsum and rng.random() < 0.2)
+    return DegreeProfile(degrees=degs, charsum=charsum, superfluous=superfluous)
+
+
+def test_build_density_report_matches_reference_product():
+    # The report rescales the maximal product; naive_density evaluates the
+    # substituted product itself, so the two must agree exactly.
+    rng = random.Random(31)
+    profiles = [spec.profile for spec in REGISTRY.values()]
+    profiles += [_random_admissible_profile(rng) for _ in range(40)]
+    for prof in profiles:
+        for L in (2, 100, 1000):
+            rep = build_density_report(prof, L=L)
+            ref = naive_density(prof, L)
+            assert rep.naive == ref, (prof, L)
+            assert rep.delta == ref.scale(rep.alpha), (prof, L)
 
 
 def test_build_density_report_charsum_vanishing():

@@ -8,12 +8,10 @@ from cyclored.modmath import (
     LimitTooLarge,
     NotAResidue,
     divisors,
-    ensure_prime_modulus,
     factorize,
     is_prime,
     legendre,
     moebius,
-    pow_mod,
     primitive_root,
     sieve_primes,
     sqrt_mod,
@@ -64,14 +62,6 @@ def test_is_prime_known_hard_cases():
     assert not is_prime(-7)
 
 
-def test_pow_mod_validation():
-    assert pow_mod(3, 20, 1000) == 3486784401 % 1000
-    with pytest.raises(ValueError):
-        pow_mod(2, -1, 7)
-    with pytest.raises(ValueError):
-        pow_mod(2, 3, 0)
-
-
 def test_legendre_squares_mod_7():
     squares = {x * x % 7 for x in range(1, 7)}
     assert squares == {1, 2, 4}
@@ -113,13 +103,6 @@ def test_sqrt_mod_both_branches():
             assert r * r % p == a
             assert r == min(r, p - r)
     assert sqrt_mod(0, 17) == 0
-
-
-def test_ensure_prime_modulus():
-    assert ensure_prime_modulus(97) == 97
-    for bad in (2, 1, 91, 1 << 62):
-        with pytest.raises(ValueError):
-            ensure_prime_modulus(bad)
 
 
 def test_factorize_known():

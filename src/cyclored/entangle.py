@@ -3,8 +3,14 @@
 Elements are tuples of invertible 2x2 matrices over prime fields,
 packed into integers (base l per entry, components big-endian) so that
 integer order equals lexicographic order of the serialized matrices and
-deduplication is exact.  Products small enough for 64-bit codes use
-numpy arrays; everything else falls back to Python integers.
+deduplication is exact.  Groups whose code space fits 64-bit integers
+store their codes in a numpy int64 array, others in a tuple of Python
+integers.
+
+A closure is computed in two stages: each modulus's projection is
+closed on its own in Python, giving one permutation table per
+generator, and the generated subgroup is then walked in numpy on
+mixed-radix indices into the product of those projections.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -20,6 +26,13 @@ from .modmath import is_prime, primitive_root
 
 DEFAULT_CLOSURE_CAP = 10**7
 _INT64_SAFE = 1 << 62
+# A closure's frontier is thin when it holds under 1/_THIN of the
+# elements seen; after _THIN_LEVELS thin levels in a row the walk also
+# multiplies by squares of the generators, whose tables may hold up to
+# _SQUARES_BUDGET entries.
+_THIN = 64
+_THIN_LEVELS = 8
+_SQUARES_BUDGET = 1 << 20
 
 Mat = tuple[int, int, int, int]  # row-major (a, b, c, d)
 
@@ -78,11 +91,11 @@ class MatrixTuple:
 
     def __post_init__(self):
         object.__setattr__(self, "moduli", tuple(self.moduli))
+        if len(self.mats) != len(self.moduli):
+            raise ValueError("one matrix per modulus required")
         object.__setattr__(
             self, "mats", tuple(tuple(int(x) % l for x in m) for m, l in zip(self.mats, self.moduli))
         )
-        if len(self.mats) != len(self.moduli):
-            raise ValueError("one matrix per modulus required")
         for m, l in zip(self.mats, self.moduli):
             if len(m) != 4:
                 raise ValueError("matrices are quadruples (a, b, c, d)")
@@ -174,36 +187,112 @@ def standard_gl2_generators(l: int) -> list[Mat]:
     return gens
 
 
+def _close_projection(gens: list[Mat], l: int, cap: int) -> tuple[list[Mat], np.ndarray]:
+    """Breadth-first closure of one modulus's generator components in
+    GL2(F_l).  Returns the projection's elements (the identity first)
+    and a table with one row per generator g: the index of h*g for each
+    index h.  Every product is one table entry, so each (element,
+    generator) pair is multiplied exactly once."""
+    elems = [_ID]
+    index = {_ID: 0}
+    products: list[int] = []  # h*g at position h * len(gens) + g
+    for h in elems:  # the list grows while it is walked: a queue
+        for g in gens:
+            m = _mat_mul(h, g, l)
+            k = index.setdefault(m, len(index))
+            if k == len(elems):
+                # the group is at least as large as its projection
+                if k >= cap:
+                    raise ClosureCapExceeded(f"more than {cap} elements modulo {l}")
+                elems.append(m)
+            products.append(k)
+    return elems, np.array(products, dtype=np.int64).reshape(len(elems), len(gens)).T
+
+
+def _split(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
+    """Mixed-radix digits of x (big-endian, radices sizes) as int64."""
+    digits = []
+    for n in reversed(sizes):
+        digits.append((x % n).astype(np.int64))
+        x = x // n
+    return digits[::-1]
+
+
+def _squares(steps: list[list[np.ndarray]], order: int, limit: int) -> list[list[np.ndarray]]:
+    """Tables of g^2, g^4, ... for each generator's tables g: at most
+    limit per generator, and none at or past g^order, where order is a
+    multiple of every generator's order."""
+    out = []
+    for step in steps:
+        for _ in range(min(limit, (order - 1).bit_length() - 1)):
+            step = [t[t] for t in step]
+            out.append(step)
+    return out
+
+
 def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixTupleGroup:
     """Enumerate the subgroup generated by the given tuples.
 
-    Breadth-first multiplication by the generators; in a finite group
-    the multiplicative closure of a set containing the identity is the
-    generated subgroup, so inverses need no separate handling.
-    Generators are validated once on entry; a product of invertible
-    reduced matrices needs no re-validation, so products go straight to
-    their codes.
+    Stage 1 closes each modulus's generator components on its own,
+    giving the projection H_l and a permutation table for right
+    multiplication by each generator.  The cap applies here already,
+    since the group is at least as large as each projection.
+
+    Stage 2 walks the group breadth-first on mixed-radix indices into
+    the product of the H_l, a whole frontier at a time: a step splits
+    the indices into digits, maps each digit through a generator's
+    table and recombines them.  Indices are int64 when the product of
+    the projections fits, Python integers in object arrays otherwise.
+    When the frontier stays thin, as in a cyclic group, whose walk takes
+    one level per element, the steps also apply squares g^2, g^4, ... of
+    the generators, composed from their tables.  Every element is still
+    multiplied by every generator.  In a finite group the multiplicative closure of a set containing
+    the identity is the generated subgroup, so inverses need no
+    separate handling.
     """
     moduli = tuple(moduli)
     gens = [g if isinstance(g, MatrixTuple) else MatrixTuple(moduli, g) for g in generators]
-    id_mats = (_ID,) * len(moduli)
-    seen = {_encode(id_mats, moduli)}
-    frontier = [id_mats]
-    while frontier:
-        fresh = []
-        for mats in frontier:
-            for g in gens:
-                nxt = tuple(
-                    _mat_mul(m, gm, l) for m, gm, l in zip(mats, g.mats, moduli)
-                )
-                code = _encode(nxt, moduli)
-                if code not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapExceeded(f"more than {cap} elements")
-                    seen.add(code)
-                    fresh.append(nxt)
-        frontier = fresh
-    return MatrixTupleGroup(moduli, gens, seen)
+    projections = [_close_projection([g.mats[i] for g in gens], l, cap)
+                   for i, l in enumerate(moduli)]
+    sizes = [len(elems) for elems, _ in projections]
+    dtype = np.int64 if prod(sizes) < _INT64_SAFE else object
+    # steps[j][i]: right multiplication by generator j on H_{moduli[i]}
+    steps = [[table[j] for _, table in projections] for j in range(len(gens))]
+    squares = None
+    thin = 0  # consecutive levels with a thin frontier
+    seen = frontier = np.zeros(1, dtype=dtype)  # index 0 is the identity
+    while len(frontier) and steps:
+        thin = thin + 1 if _THIN * len(frontier) < len(seen) else 0
+        active = steps
+        if thin >= _THIN_LEVELS:
+            if squares is None:
+                limit = _SQUARES_BUDGET // (len(steps) * sum(sizes))
+                squares = _squares(steps, lcm(*sizes), limit)
+            active = steps + squares
+        digits = _split(frontier, sizes)
+        cand = []
+        for step in active:
+            x = np.zeros(len(frontier), dtype=dtype)
+            for n, table, d in zip(sizes, step, digits):
+                x = x * n + table[d]
+            cand.append(x)
+        cand = np.sort(np.concatenate(cand))
+        distinct = np.ones(len(cand), dtype=bool)
+        distinct[1:] = cand[1:] != cand[:-1]
+        cand = cand[distinct]
+        pos = np.searchsorted(seen, cand)
+        known = pos < len(seen)
+        known[known] = seen[pos[known]] == cand[known]
+        frontier = cand[~known]
+        if len(seen) + len(frontier) > cap:
+            raise ClosureCapExceeded(f"more than {cap} elements")
+        seen = np.insert(seen, pos[~known], frontier)
+    wide = prod(l**4 for l in moduli) >= _INT64_SAFE
+    codes = np.zeros(len(seen), dtype=object if wide else np.int64)
+    for l, (elems, _), d in zip(moduli, projections, _split(seen, sizes)):
+        packed = np.array([_pack_mat(m, l) for m in elems], dtype=codes.dtype)
+        codes = codes * l**4 + packed[d]
+    return MatrixTupleGroup(moduli, gens, codes.tolist() if wide else codes)
 
 
 def full_product_group(moduli, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixTupleGroup:

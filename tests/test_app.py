@@ -279,6 +279,13 @@ def test_cli_entangle(tmp_path, capsys):
     weird.write_text(json.dumps({"construction": "banana", "moduli": [2]}))
     code, _, err = run_cli(capsys, "entangle", str(weird))
     assert code == 2
+    # a generator with more matrices than moduli is refused, not truncated
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"construction": "closure", "moduli": [3],
+                                 "generators": [[[1, 1, 0, 1], [0, 1, 1, 0]]]}))
+    code, out, err = run_cli(capsys, "entangle", str(extra))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_galois(capsys):

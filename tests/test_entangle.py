@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cyclored import entangle
+from cyclored.density import charsum_alpha, gl2_order
 from cyclored.entangle import (
     CharacterNotSurjective,
     ClosureCapExceeded,
@@ -22,6 +24,7 @@ from cyclored.entangle import (
     norm_one_construction,
     standard_gl2_generators,
 )
+from cyclored.modmath import sieve_primes
 
 F = Fraction
 ID = (1, 0, 0, 1)
@@ -46,6 +49,8 @@ def test_matrix_tuple_normalization_and_code():
         MatrixTuple((5,), ((1, 0, 0),))  # not a quadruple
     with pytest.raises(ValueError):
         MatrixTuple((5, 7), ((1, 0, 0, 1),))  # arity mismatch
+    with pytest.raises(ValueError):
+        MatrixTuple((5,), ((1, 0, 0, 1), (2, 0, 0, 1)))  # extra matrix, not dropped
 
 
 def test_codes_are_lexicographic():
@@ -87,6 +92,22 @@ def test_closure_trivial_and_cap():
         generate_closure((3,), [(g,) for g in standard_gl2_generators(3)], cap=10)
 
 
+def test_closure_cap_boundary():
+    # a closure of exactly cap elements succeeds and fails at cap - 1,
+    # whether the cap fires on a projection or on the product walk
+    gens3 = [(g,) for g in standard_gl2_generators(3)]
+    assert generate_closure((3,), gens3, cap=48).order == 48
+    with pytest.raises(ClosureCapExceeded, match="modulo 3"):
+        generate_closure((3,), gens3, cap=47)
+    moduli = (2, 3)
+    gens = [embed(moduli, i, g) for i, l in enumerate(moduli)
+            for g in standard_gl2_generators(l)]
+    assert generate_closure(moduli, gens, cap=288).order == 288
+    # both projections (6 and 48 elements) fit under 287
+    with pytest.raises(ClosureCapExceeded, match="^more than 287 elements$"):
+        generate_closure(moduli, gens, cap=287)
+
+
 def test_closure_is_multiplicatively_closed():
     # the special linear group mod 3 from two standard generators
     G = generate_closure((3,), [((1, 1, 0, 1),), ((0, 1, 2, 0),)])
@@ -114,15 +135,81 @@ def test_full_product_orders_and_density():
 
 def test_full_product_matches_closure():
     # same subgroup, two constructions: direct enumeration vs the closure
-    # of the embedded one-component generators
-    moduli = (2, 3)
-    direct = full_product_group(moduli)
-    gens = []
-    for i, l in enumerate(moduli):
-        gens.extend(embed(moduli, i, g) for g in standard_gl2_generators(l))
-    walked = generate_closure(moduli, gens)
-    assert walked.order == direct.order == 288
-    assert np.array_equal(walked.elements, direct.elements)
+    # of the embedded one-component generators, on every acceptance-4b
+    # modulus set of order <= 2e5; the two share only _pack_mat
+    cap = 2 * 10**5
+    sets: list[tuple[int, ...]] = []
+
+    def extend(prefix, rest, order):
+        for i, l in enumerate(rest):
+            if order * gl2_order(l) <= cap:
+                sets.append(prefix + (l,))
+                extend(prefix + (l,), rest[i + 1:], order * gl2_order(l))
+
+    extend((), sieve_primes(100), 1)
+    assert len(sets) == 16 and (2, 3, 5) in sets and (2, 13) in sets
+    for moduli in sets:
+        gens = [embed(moduli, i, g) for i, l in enumerate(moduli)
+                for g in standard_gl2_generators(l)]
+        walked = generate_closure(moduli, gens, cap)
+        direct = full_product_group(moduli, cap)
+        assert walked.order == direct.order, moduli
+        assert np.array_equal(walked.elements, direct.elements), moduli
+
+
+def test_serre_ex3_tie_as_a_group():
+    # The {2, 19} character tie of serre-ex3 built as an actual group:
+    # the index-2 kernel of sign x Legendre(det) in GL2(F_2) x GL2(F_19).
+    gens = [((0, 1, 1, 1), (1, 1, 0, 1)),
+            ((1, 0, 0, 1), (1, 0, 1, 1)),
+            ((0, 1, 1, 0), (2, 0, 0, 1))]
+    G = generate_closure((2, 19), gens)
+    assert G.order == gl2_order(2) * gl2_order(19) // 2 == 369360
+    m2, m19 = np.divmod(G.elements, 19**4)
+    # GL2(F_2) acts as S_3; its odd elements are the three involutions,
+    # the non-identity elements of trace 0
+    odd = ((m2 >> 3) + m2) % 2 == 0
+    odd &= m2 != 0b1001
+    a, b, c, d = m19 // 19**3, m19 // 19**2 % 19, m19 // 19 % 19, m19 % 19
+    squares = np.zeros(19, dtype=bool)
+    squares[[x * x % 19 for x in range(1, 19)]] = True
+    assert np.all(odd != squares[(a * d - b * c) % 19])
+    want = (1 - F(1, 6)) * (1 - F(1, gl2_order(19))) * charsum_alpha({2: 6, 19: gl2_order(19)})
+    assert delta_exact(G) == want == F(153899, 184680)
+
+
+def test_long_cyclic_walk_matches_the_powers(monkeypatch):
+    # A cyclic group takes one breadth-first level per element; the walk
+    # then also multiplies by squares of the generator.  The reference is
+    # the list of powers, multiplied out one at a time.
+    def mul(m, n, l):
+        (a, b, c, d), (e, f, g, h) = m, n
+        return ((a * e + b * g) % l, (a * f + b * h) % l,
+                (c * e + d * g) % l, (c * f + d * h) % l)
+
+    def singer(l):  # a generator of a cyclic subgroup of order l^2 - 1
+        for a, b in itertools.product(range(l), range(1, l)):
+            m, k = (0, 1, b, a), 1
+            while m != ID:
+                m, k = mul(m, (0, 1, b, a), l), k + 1
+            if k == l * l - 1:
+                return (0, 1, b, a)
+
+    moduli = (31, 37)
+    gen = tuple(singer(l) for l in moduli)
+    powers, x = [], (ID, ID)
+    while True:
+        powers.append(MatrixTuple(moduli, x).code())
+        x = tuple(mul(m, g, l) for m, g, l in zip(x, gen, moduli))
+        if x == (ID, ID):
+            break
+    assert len(powers) == 960 * 1368 // 24
+    calls = []
+    real = entangle._squares
+    monkeypatch.setattr(entangle, "_squares", lambda *a: calls.append(a) or real(*a))
+    G = generate_closure(moduli, [gen])
+    assert len(calls) == 1
+    assert np.array_equal(G.elements, sorted(powers))
 
 
 def test_full_product_caps_and_limits():
@@ -150,6 +237,18 @@ def test_python_int_fallback_for_wide_moduli():
     assert G.order == 2
     assert delta_exact(G) == F(1, 2)
     assert G.decode(G.identity_code()) == tuple(ID for _ in moduli)
+
+
+def test_wide_index_space():
+    # -I over the first 64 odd primes: each projection has two elements,
+    # so the product of the projections has 2**64, past 64-bit indices
+    moduli = tuple(l for l in sieve_primes(400) if l > 2)[:64]
+    gen = MatrixTuple(moduli, tuple(neg_id(l) for l in moduli))
+    G = generate_closure(moduli, [gen])
+    assert G.order == 2
+    assert isinstance(G.elements, tuple)
+    assert delta_exact(G) == F(1, 2)
+    assert G.decode(G.identity_code()) == (ID,) * 64
 
 
 def test_norm_one_construction():

@@ -9,8 +9,9 @@ integers.
 
 A closure is computed in two stages: each modulus's projection is
 closed on its own in Python, giving one permutation table per
-generator, and the generated subgroup is then walked in numpy on
-mixed-radix indices into the product of those projections.
+generator, and the generated subgroup is then walked in numpy, a
+breadth-first level at a time, on mixed-radix indices into the
+product of those projections.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -26,13 +27,6 @@ from .modmath import is_prime, primitive_root
 
 DEFAULT_CLOSURE_CAP = 10**7
 _INT64_SAFE = 1 << 62
-# A closure's frontier is thin when it holds under 1/_THIN of the
-# elements seen; after _THIN_LEVELS thin levels in a row the walk also
-# multiplies by squares of the generators, whose tables may hold up to
-# _SQUARES_BUDGET entries.
-_THIN = 64
-_THIN_LEVELS = 8
-_SQUARES_BUDGET = 1 << 20
 
 Mat = tuple[int, int, int, int]  # row-major (a, b, c, d)
 
@@ -113,6 +107,22 @@ def _encode(mats, moduli: tuple[int, ...]) -> int:
     return c
 
 
+def _fits_int64(moduli: tuple[int, ...]) -> bool:
+    return prod(l**4 for l in moduli) < _INT64_SAFE
+
+
+def _encode_array(comps, moduli: tuple[int, ...]) -> np.ndarray:
+    """_encode over arrays: comps[i] holds packed matrices modulo
+    moduli[i], and the arrays broadcast against each other.  The codes
+    are int64 when the code space fits, Python integers otherwise."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in comps))
+    codes = np.zeros(shape, dtype=np.int64 if _fits_int64(moduli) else object)
+    for c, l in zip(comps, moduli):
+        codes *= l**4  # in place: one array of codes at a time
+        codes += c
+    return codes
+
+
 def _decode(code: int, moduli: tuple[int, ...]) -> tuple[Mat, ...]:
     mats: list[Mat] = []
     for l in reversed(moduli):
@@ -140,15 +150,13 @@ class MatrixTupleGroup:
         for g in self.generators:
             if g.moduli != self.moduli:
                 raise ValueError("generator moduli mismatch")
-        space = prod(l**4 for l in self.moduli)
-        if isinstance(element_codes, np.ndarray):
-            if len(element_codes) > 1 and np.any(np.diff(element_codes) < 0):
-                element_codes = np.sort(element_codes)
-            self.elements = element_codes
-        elif space < _INT64_SAFE:
-            self.elements = np.array(sorted(element_codes), dtype=np.int64)
+        if _fits_int64(self.moduli):
+            codes = np.asarray(element_codes, dtype=np.int64)
+            if np.any(codes[1:] < codes[:-1]):
+                codes = np.sort(codes)
+            self.elements = codes
         else:
-            self.elements = tuple(sorted(element_codes))
+            self.elements = tuple(sorted(int(c) for c in element_codes))
         n = len(self.elements)
         if n == 0:
             raise ValueError("a group cannot be empty")
@@ -187,47 +195,83 @@ def standard_gl2_generators(l: int) -> list[Mat]:
     return gens
 
 
-def _close_projection(gens: list[Mat], l: int, cap: int) -> tuple[list[Mat], np.ndarray]:
+def _close_projection(gens: list[Mat], l: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first closure of one modulus's generator components in
-    GL2(F_l).  Returns the projection's elements (the identity first)
-    and a table with one row per generator g: the index of h*g for each
-    index h.  Every product is one table entry, so each (element,
-    generator) pair is multiplied exactly once."""
-    elems = [_ID]
-    index = {_ID: 0}
-    products: list[int] = []  # h*g at position h * len(gens) + g
+    GL2(F_l).  Returns the projection's packed matrices (the identity
+    first) and a table with one row per generator g: the index of h*g
+    for each index h.  Every product is one table entry, so each
+    (element, generator) pair is multiplied exactly once."""
+    elems = [_pack_mat(_ID, l)]
+    # one integer object per code, so that the lists hold only references
+    kept = {elems[0]: elems[0]}
+    products = []  # the code of h*g at position h * len(gens) + g
     for h in elems:  # the list grows while it is walked: a queue
+        m = _unpack_mat(h, l)
         for g in gens:
-            m = _mat_mul(h, g, l)
-            k = index.setdefault(m, len(index))
-            if k == len(elems):
+            code = _pack_mat(_mat_mul(m, g, l), l)
+            code = kept.setdefault(code, code)
+            if len(kept) > len(elems):
                 # the group is at least as large as its projection
-                if k >= cap:
+                if len(elems) >= cap:
                     raise ClosureCapExceeded(f"more than {cap} elements modulo {l}")
-                elems.append(m)
-            products.append(k)
-    return elems, np.array(products, dtype=np.int64).reshape(len(elems), len(gens)).T
+                elems.append(code)
+            products.append(code)
+    del kept
+    codes, products = np.array(elems), np.array(products)
+    del elems
+    by_code = np.argsort(codes)
+    table = by_code[np.searchsorted(codes[by_code], products)]
+    return codes, table.reshape(len(codes), len(gens)).T.copy()
 
 
 def _split(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     """Mixed-radix digits of x (big-endian, radices sizes) as int64."""
     digits = []
     for n in reversed(sizes):
-        digits.append((x % n).astype(np.int64))
+        digits.append((x % n).astype(np.int64, copy=False))
         x = x // n
     return digits[::-1]
 
 
-def _squares(steps: list[list[np.ndarray]], order: int, limit: int) -> list[list[np.ndarray]]:
-    """Tables of g^2, g^4, ... for each generator's tables g: at most
-    limit per generator, and none at or past g^order, where order is a
-    multiple of every generator's order."""
-    out = []
-    for step in steps:
-        for _ in range(min(limit, (order - 1).bit_length() - 1)):
-            step = [t[t] for t in step]
-            out.append(step)
-    return out
+def _walk(sizes: list[int], tables: list[np.ndarray], cap: int) -> np.ndarray:
+    """Mixed-radix indices into the product of the projections, whose
+    sizes are given, of the subgroup generated by the tuples that act
+    on projection i by right multiplication as the rows of tables[i].
+
+    The walk steps by each generator and its inverse, so its graph is
+    undirected: the neighbours of a level lie in the level before it,
+    in the level itself or in the next one.  The next level is thus the
+    candidates less the last two levels, found by sorting them all
+    together, and each level costs time in proportion to its own size.
+    Elements found carry keys 2x and candidates keys 2x + 1, so after
+    sorting, a candidate is new exactly when the key before it is
+    below 2x."""
+    dtype = np.int64 if prod(sizes) < _INT64_SAFE else object
+    inverses = []
+    for t in tables:
+        inv = np.empty_like(t)
+        np.put_along_axis(inv, t, np.arange(t.shape[1]), axis=1)
+        inverses.append(inv)
+    steps = [np.concatenate((t, inv)).astype(dtype) * (2 * prod(sizes[i + 1:]))
+             for i, (t, inv) in enumerate(zip(tables, inverses))]
+    steps[-1] += 1
+    floor = np.full(1, -2, dtype=dtype)  # below every key
+    found = np.zeros(1, dtype=dtype)  # keys level by level, the identity first
+    prev, start, count = 0, 0, 1
+    while start < count:
+        digits = _split(found[start:count] >> 1, sizes)
+        cand = sum(step.take(d, axis=1) for step, d in zip(steps, digits))
+        keys = np.concatenate((floor, found[prev:count], cand.ravel()))
+        keys.sort()
+        after = keys[1:]
+        new = after[(after - keys[:-1] > 1) & (after & 1).astype(bool)] - 1
+        if count + len(new) > cap:
+            raise ClosureCapExceeded(f"more than {cap} elements")
+        if count + len(new) > len(found):
+            found = np.resize(found, 2 * (count + len(new)))
+        found[count:count + len(new)] = new
+        prev, start, count = start, count, count + len(new)
+    return found[:count] >> 1
 
 
 def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixTupleGroup:
@@ -236,63 +280,27 @@ def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> Matr
     Stage 1 closes each modulus's generator components on its own,
     giving the projection H_l and a permutation table for right
     multiplication by each generator.  The cap applies here already,
-    since the group is at least as large as each projection.
+    since the group is at least as large as each projection.  With a
+    single modulus the group is its projection.
 
     Stage 2 walks the group breadth-first on mixed-radix indices into
-    the product of the H_l, a whole frontier at a time: a step splits
-    the indices into digits, maps each digit through a generator's
-    table and recombines them.  Indices are int64 when the product of
-    the projections fits, Python integers in object arrays otherwise.
-    When the frontier stays thin, as in a cyclic group, whose walk takes
-    one level per element, the steps also apply squares g^2, g^4, ... of
-    the generators, composed from their tables.  Every element is still
-    multiplied by every generator.  In a finite group the multiplicative closure of a set containing
-    the identity is the generated subgroup, so inverses need no
-    separate handling.
+    the product of the H_l, a whole level at a time in numpy: a step
+    splits the indices into digits, maps each digit through a
+    generator's table and recombines them.  Indices are int64 when the
+    product of the projections fits, Python integers in object arrays
+    otherwise.  The indices are finally mapped to packed codes.
     """
     moduli = tuple(moduli)
     gens = [g if isinstance(g, MatrixTuple) else MatrixTuple(moduli, g) for g in generators]
     projections = [_close_projection([g.mats[i] for g in gens], l, cap)
                    for i, l in enumerate(moduli)]
     sizes = [len(elems) for elems, _ in projections]
-    dtype = np.int64 if prod(sizes) < _INT64_SAFE else object
-    # steps[j][i]: right multiplication by generator j on H_{moduli[i]}
-    steps = [[table[j] for _, table in projections] for j in range(len(gens))]
-    squares = None
-    thin = 0  # consecutive levels with a thin frontier
-    seen = frontier = np.zeros(1, dtype=dtype)  # index 0 is the identity
-    while len(frontier) and steps:
-        thin = thin + 1 if _THIN * len(frontier) < len(seen) else 0
-        active = steps
-        if thin >= _THIN_LEVELS:
-            if squares is None:
-                limit = _SQUARES_BUDGET // (len(steps) * sum(sizes))
-                squares = _squares(steps, lcm(*sizes), limit)
-            active = steps + squares
-        digits = _split(frontier, sizes)
-        cand = []
-        for step in active:
-            x = np.zeros(len(frontier), dtype=dtype)
-            for n, table, d in zip(sizes, step, digits):
-                x = x * n + table[d]
-            cand.append(x)
-        cand = np.sort(np.concatenate(cand))
-        distinct = np.ones(len(cand), dtype=bool)
-        distinct[1:] = cand[1:] != cand[:-1]
-        cand = cand[distinct]
-        pos = np.searchsorted(seen, cand)
-        known = pos < len(seen)
-        known[known] = seen[pos[known]] == cand[known]
-        frontier = cand[~known]
-        if len(seen) + len(frontier) > cap:
-            raise ClosureCapExceeded(f"more than {cap} elements")
-        seen = np.insert(seen, pos[~known], frontier)
-    wide = prod(l**4 for l in moduli) >= _INT64_SAFE
-    codes = np.zeros(len(seen), dtype=object if wide else np.int64)
-    for l, (elems, _), d in zip(moduli, projections, _split(seen, sizes)):
-        packed = np.array([_pack_mat(m, l) for m in elems], dtype=codes.dtype)
-        codes = codes * l**4 + packed[d]
-    return MatrixTupleGroup(moduli, gens, codes.tolist() if wide else codes)
+    if len(sizes) > 1:
+        indices = _walk(sizes, [table for _, table in projections], cap)
+        comps = [elems[d] for (elems, _), d in zip(projections, _split(indices, sizes))]
+    else:  # the group is its projection
+        comps = [elems for elems, _ in projections]
+    return MatrixTupleGroup(moduli, gens, _encode_array(comps, moduli).ravel())
 
 
 def full_product_group(moduli, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixTupleGroup:
@@ -303,15 +311,17 @@ def full_product_group(moduli, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixTupleGro
     total = prod(_gl2_size(l) for l in moduli)
     if total > cap:
         raise ClosureCapExceeded(f"full product has {total} > {cap} elements")
-    if prod(l**4 for l in moduli) >= _INT64_SAFE:
+    if not _fits_int64(moduli):
         raise ValueError("code space too large for direct materialization")
-    codes = np.zeros(1, dtype=np.int64)
-    for l in moduli:
+    comps = []
+    for i, l in enumerate(moduli):
         idx = np.arange(l**4, dtype=np.int64)
         a, b = idx // l**3 % l, idx // l**2 % l
         c, d = idx // l % l, idx % l
-        comp = idx[(a * d - b * c) % l != 0]
-        codes = (codes[:, None] * (l**4) + comp[None, :]).ravel()
+        # on axis i of the grid of all tuples, so the codes come out sorted
+        shape = [-1 if j == i else 1 for j in range(len(moduli))]
+        comps.append(idx[(a * d - b * c) % l != 0].reshape(shape))
+    codes = _encode_array(comps, moduli).ravel()
     gens = []
     for i, l in enumerate(moduli):
         for gm in standard_gl2_generators(l):

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 
-from cyclored import entangle
 from cyclored.density import charsum_alpha, gl2_order
 from cyclored.entangle import (
     CharacterNotSurjective,
@@ -24,7 +25,7 @@ from cyclored.entangle import (
     norm_one_construction,
     standard_gl2_generators,
 )
-from cyclored.modmath import sieve_primes
+from cyclored.modmath import primitive_root, sieve_primes
 
 F = Fraction
 ID = (1, 0, 0, 1)
@@ -178,23 +179,41 @@ def test_serre_ex3_tie_as_a_group():
     assert delta_exact(G) == want == F(153899, 184680)
 
 
-def test_long_cyclic_walk_matches_the_powers(monkeypatch):
-    # A cyclic group takes one breadth-first level per element; the walk
-    # then also multiplies by squares of the generator.  The reference is
-    # the list of powers, multiplied out one at a time.
-    def mul(m, n, l):
-        (a, b, c, d), (e, f, g, h) = m, n
-        return ((a * e + b * g) % l, (a * f + b * h) % l,
-                (c * e + d * g) % l, (c * f + d * h) % l)
+def mul(m, n, l):
+    (a, b, c, d), (e, f, g, h) = m, n
+    return ((a * e + b * g) % l, (a * f + b * h) % l,
+            (c * e + d * g) % l, (c * f + d * h) % l)
 
-    def singer(l):  # a generator of a cyclic subgroup of order l^2 - 1
-        for a, b in itertools.product(range(l), range(1, l)):
-            m, k = (0, 1, b, a), 1
-            while m != ID:
-                m, k = mul(m, (0, 1, b, a), l), k + 1
-            if k == l * l - 1:
-                return (0, 1, b, a)
 
+def power(m, k, l):
+    out = ID
+    while k:
+        if k & 1:
+            out = mul(out, m, l)
+        m, k = mul(m, m, l), k >> 1
+    return out
+
+
+def singer(l):
+    """A companion matrix of order l^2 - 1 (a Singer cycle): it acts on
+    F_l^2 as a generator of the units of F_{l^2} acts on that field."""
+    n, rest, primes, q = l * l - 1, l * l - 1, [], 2
+    while q * q <= rest:
+        if rest % q == 0:
+            primes.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    primes += [rest] if rest > 1 else []
+    for a, b in itertools.product(range(l), range(1, l)):
+        m = (0, 1, b, a)
+        if power(m, n, l) == ID and all(power(m, n // q, l) != ID for q in primes):
+            return m
+
+
+def test_long_cyclic_walk_matches_the_powers():
+    # A cyclic group's walk has one level per pair of powers g^k, g^-k.
+    # The reference is the list of powers, multiplied out one at a time.
     moduli = (31, 37)
     gen = tuple(singer(l) for l in moduli)
     powers, x = [], (ID, ID)
@@ -204,12 +223,47 @@ def test_long_cyclic_walk_matches_the_powers(monkeypatch):
         if x == (ID, ID):
             break
     assert len(powers) == 960 * 1368 // 24
-    calls = []
-    real = entangle._squares
-    monkeypatch.setattr(entangle, "_squares", lambda *a: calls.append(a) or real(*a))
     G = generate_closure(moduli, [gen])
-    assert len(calls) == 1
     assert np.array_equal(G.elements, sorted(powers))
+
+
+def test_dihedral_walk_takes_seconds():
+    # Two reflections in each component generate a dihedral group of
+    # order 1,062,960 whose walk is a cycle: 531,480 levels of at most
+    # two elements.  Each level costs time in proportion to its own size;
+    # in proportion to the elements seen, the walk would take minutes.
+    moduli = (1031, 1033)
+    roots = [primitive_root(l) for l in moduli]
+    w = (0, 1, 1, 0)
+    s = tuple((0, pow(a, -1, l), a, 0) for a, l in zip(roots, moduli))  # w * diag(a, 1/a)
+    start = time.perf_counter()
+    G = generate_closure(moduli, [(w, w), s])
+    elapsed = time.perf_counter() - start
+    # the rotations diag(a^k, a^-k) and the reflections w * diag(a^k, a^-k)
+    k = np.arange(lcm(*(l - 1 for l in moduli)))
+    rotations, reflections = np.zeros(len(k), dtype=object), np.zeros(len(k), dtype=object)
+    for a, l in zip(roots, moduli):
+        table = np.array([pow(a, e, l) for e in range(l - 1)], dtype=np.int64)
+        x, y = table[k % (l - 1)], table[-k % (l - 1)]
+        rotations = rotations * l**4 + (x * l**3 + y)
+        reflections = reflections * l**4 + (y * l**2 + x * l)
+    assert G.elements == tuple(sorted(np.concatenate((rotations, reflections))))
+    assert elapsed < 90
+
+
+def test_singer_cycle_closure_takes_seconds():
+    # One modulus: the group is its projection, closed once in stage 1.
+    l = 1031
+    g = singer(l)
+    start = time.perf_counter()
+    G = generate_closure((l,), [(g,)])
+    elapsed = time.perf_counter() - start
+    assert G.order == l * l - 1
+    rng = random.Random(5)
+    for k in rng.sample(range(l * l - 1), 20):
+        code = MatrixTuple((l,), (power(g, k, l),)).code()
+        assert G.elements[np.searchsorted(G.elements, code)] == code
+    assert elapsed < 30
 
 
 def test_full_product_caps_and_limits():

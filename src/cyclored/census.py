@@ -12,10 +12,19 @@ import csv
 import json
 import multiprocessing
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .curve import CurveOverQ, ReducedCurve, group_structure, has_full_ell_torsion
-from .modmath import factorize, moebius, sieve_primes
+from .curve import (
+    BadReduction,
+    CurveOverQ,
+    ReducedCurve,
+    group_orders,
+    group_structure,
+    has_full_ell_torsion,
+    reduce,
+)
+from .modmath import factorize, is_prime, moebius, sieve_primes
 from .utils import truncate_decimal
 
 CHUNK_SIZE = 4096
@@ -113,15 +122,20 @@ class CensusReport:
         return rep
 
 
-def _first_invariants(curve: CurveOverQ, primes):
+def _first_invariants(curve: CurveOverQ, primes, stats=None):
     """Yield (p, d) for each prime: d is the first invariant factor of the
-    reduced point group, and 0 marks a prime of bad reduction."""
+    reduced point group, and 0 marks a prime of bad reduction.
+
+    The group orders come from one curve.group_orders call over the good
+    primes; stats, a Counter when given, receives its counts and those of
+    curve.group_structure."""
     A, B, delta = curve.A, curve.B, curve.delta_E
+    orders = iter(group_orders(A, B, [p for p in primes if delta % p], stats))
     for p in primes:
-        if delta % p == 0:
-            yield p, 0
+        if delta % p:
+            yield p, group_structure(ReducedCurve(p, A % p, B % p), next(orders), stats).d
         else:
-            yield p, group_structure(ReducedCurve(p, A % p, B % p)).d
+            yield p, 0
 
 
 def _classify(p: int, d: int) -> tuple[int, str, tuple[int, ...]]:
@@ -139,9 +153,12 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     For non-cyclic groups the obstruction primes are the prime divisors of
     the first group invariant d (the primes with full torsion at p).
     """
-    if p < 2:
+    if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    _, d = next(_first_invariants(curve, (p,)))
+    try:
+        d = group_structure(reduce(curve, p)).d
+    except BadReduction:
+        d = 0
     return PrimeClassification(*_classify(p, d))
 
 
@@ -149,10 +166,13 @@ def _classify_chunk(args):
     """Worker body: classify one chunk of primes for a curve.
 
     Module-level so multiprocessing can pickle it.  Returns the chunk
-    record plus per-prime rows when requested.
+    record, per-prime rows when requested, and the chunk's counts from
+    _first_invariants, which stay out of the record: resume compares
+    records for equality.
     """
     curve, primes, split_primes, want_rows = args
-    rows = [_classify(p, d) for p, d in _first_invariants(curve, primes)]
+    counts = Counter()
+    rows = [_classify(p, d) for p, d in _first_invariants(curve, primes, counts)]
     bad = [p for p, status, _ in rows if status == "bad_reduction"]
     record = {
         "kind": "chunk",
@@ -164,7 +184,7 @@ def _classify_chunk(args):
         "bad": bad,
         "split": {str(l): sum(l in obst for _, _, obst in rows) for l in split_primes},
     }
-    return record, rows if want_rows else None
+    return record, rows if want_rows else None, counts
 
 
 def _load_checkpoint(path: str, a: int, b: int, split_primes) -> dict:
@@ -290,7 +310,7 @@ def run_census(
         else:
             tasks.append((i, (curve, chunk, split_primes, want_rows)))
 
-    computed: dict[int, tuple[dict, list | None]] = {}
+    computed: dict[int, tuple[dict, list | None, Counter]] = {}
     try:
         if workers > 1 and len(tasks) > 1:
             with multiprocessing.Pool(workers) as pool:
@@ -303,6 +323,7 @@ def run_census(
                 computed[i] = _classify_chunk(t)
 
         bad_all: list[int] = []
+        counts = Counter()
         cyclic = 0
         seen = 0
         split_totals = {l: 0 for l in split_primes}
@@ -310,7 +331,8 @@ def run_census(
             if i in reused:
                 rec, rows = reused[i], None
             else:
-                rec, rows = computed[i]
+                rec, rows, chunk_counts = computed[i]
+                counts.update(chunk_counts)
                 key = (rec["first"], rec["last"], rec["count"])
                 if ck_fh is not None and saved.get(key) != rec:
                     if key in saved:
@@ -355,6 +377,11 @@ def run_census(
         split_counts=split_totals,
         elapsed_seconds=elapsed,
         label=label,
+        extra={
+            "chunks_computed": len(computed),
+            "chunks_reused": len(reused),
+            **{k: counts[k] for k in ("orders_batched", "orders_scalar", "two_by_discriminant")},
+        },
     )
 
 
@@ -364,9 +391,14 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     Full l-torsion forces l | p - 1, so primes outside that progression
     are skipped without computing a group order.  The prime p = l itself
     never qualifies and is skipped.
+
+    Each prime goes through has_full_ell_torsion, which samples the
+    l-Sylow subgroup for every l.  The census decides 2 | d from the
+    discriminant instead where it can, so for l = 2 this count and the
+    census's split count are two different computations of 2 | d.
     """
-    if l < 2:
-        raise ValueError("torsion prime must be at least 2")
+    if not is_prime(l):
+        raise ValueError(f"torsion prime must be a prime: {l}")
     delta = curve.delta_E
     count = 0
     for p in sieve_primes(x):

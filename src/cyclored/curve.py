@@ -4,16 +4,21 @@ A curve y^2 = x^3 + Ax + B with integer coefficients is reduced modulo an
 odd prime p of good reduction.  The group of points is abelian on at most
 two generators, Z/d x Z/e with d | e and d | p-1; the reduction is called
 cyclic when d = 1.  Everything downstream (the census, the split counts)
-sits on top of `group_order` and `group_structure`.
+sits on top of `group_order`, `group_orders` and `group_structure`.
 
-Orders come from exhaustive quadratic-residue counting below 2**10 and
-from baby-step giant-step over the Hasse window above it, refining the
-lcm of sampled point orders until a unique candidate survives, with a
-quadratic-twist pass as the tie breaker.  Structure determination never
-touches pairings: the first invariant factor is certified per prime l by
-either a point whose l-part has full length (cyclic Sylow), or two
-independent points of order l, independence decided by enumerating the
-<= l multiples of one of them.
+`group_order` handles one prime: exhaustive quadratic-residue counting
+below 2**10, and baby-step giant-step over the Hasse window above it,
+refining the lcm of sampled point orders until a unique candidate
+survives, with a quadratic-twist pass as the tie breaker.  The census
+asks `group_orders` for a chunk of primes at once: it runs the first
+sampled point's baby-step giant-step for a slice of primes together in
+numpy uint64 lanes (Jacobian coordinates, one inversion per lane), and
+hands every prime the lanes do not settle to `group_order`, the only
+fallback.  Structure determination never touches pairings: the first
+invariant factor is certified per prime l by either a point whose l-part
+has full length (cyclic Sylow), or two independent points of order l,
+independence decided by enumerating the <= l multiples of one of them.
+For l = 2 the discriminant of the cubic decides first where it can.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
 mix of (p, a, b) drives the x-candidates and the y-sign choice, so runs
@@ -22,10 +27,13 @@ are bit-reproducible regardless of how work is partitioned.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .modmath import factorize, sqrt_mod
+import numpy as np
+
+from .modmath import factorize, legendre, sqrt_mod
 
 Point = "tuple[int, int] | None"  # affine coordinates, None is the point at infinity
 
@@ -35,6 +43,9 @@ _M64 = (1 << 64) - 1
 _EXHAUSTIVE_BELOW = 1 << 10
 _SAMPLE_BUDGET = 8          # points per order-finding pass before twisting
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
+_LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
+_LANES = 384                # primes per slice: about 1 MiB of arrays at p ~ 2*10**5
+_MIN_LANES = 32             # below this many, group_order is cheaper than a slice
 
 
 class BadReduction(Exception):
@@ -323,7 +334,10 @@ def group_order(C: ReducedCurve) -> int:
     Below 2**10 the count is exhaustive.  Above, sampled point orders are
     combined until a unique Hasse-window multiple survives; if eight
     points do not settle it, the quadratic twist (orders summing to
-    2p + 2) breaks the tie.
+    2p + 2) breaks the tie.  This is the single-prime path: group_orders
+    runs the first point's scan for many primes at once in numpy lanes
+    and calls this function for every prime the lanes leave open, and
+    the tests take it as the lanes' reference.
     """
     p, a, b = C.p, C.a, C.b
     if p < _EXHAUSTIVE_BELOW:
@@ -354,6 +368,208 @@ def group_order(C: ReducedCurve) -> int:
         if len(cands) == 1:
             return cands[0]
     raise IterationCap(f"group order over F_{p} unresolved after twist pass")
+
+
+# ---------------------------------------------------------------------------
+# group orders in numpy lanes
+#
+# One lane per prime.  Residues are uint64, so the product of two residues
+# below 2**32 fits before its reduction.  Points are Jacobian, (X : Y : Z)
+# standing for (X/Z^2, Y/Z^3).  A step outside its formula's domain (adding
+# a point to itself or to its negative, doubling a point of order 2) and
+# the point at infinity both give Z = 0, which every later step keeps, so a
+# lane with Z = 0 anywhere is left to the scalar path.
+
+
+def _sub(u, v, p):
+    """u - v mod p for residues u, v.  When r = u + p - v is below p,
+    r - p wraps past 2**64, so the smaller of the two is the residue."""
+    r = u + p - v
+    return np.minimum(r, r - p)
+
+
+def _jdbl(X, Y, Z, a, p):
+    """2(X : Y : Z) on y^2 = x^3 + ax + b."""
+    XX = X * X % p
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    S = 4 * X % p * YY % p
+    M = (3 * XX + a * (ZZ * ZZ % p) % p) % p
+    X3 = _sub(_sub(M * M % p, S, p), S, p)
+    Y3 = _sub(M * _sub(S, X3, p) % p, 8 * (YY * YY % p) % p, p)
+    return X3, Y3, 2 * Y % p * Z % p
+
+
+def _jmadd(X, Y, Z, x, y, p):
+    """(X : Y : Z) + (x, y), the second point affine."""
+    ZZ = Z * Z % p
+    H = _sub(x * ZZ % p, X, p)
+    R = _sub(y * (ZZ * Z % p) % p, Y, p)
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = _sub(_sub(R * R % p, HHH, p), 2 * V % p, p)
+    Y3 = _sub(R * _sub(V, X3, p) % p, Y * HHH % p, p)
+    return X3, Y3, Z * H % p
+
+
+def _jmul(k, x, y, a, p):
+    """k*(x, y) per lane for int64 scalars k >= 1, left to right."""
+    top = np.array([int(v).bit_length() - 1 for v in k])
+    X, Y, Z = x, y, np.ones_like(x)
+    for bit in range(int(top.max()) - 1, -1, -1):
+        D = _jdbl(X, Y, Z, a, p)
+        A = _jmadd(*D, x, y, p)
+        add = (k >> bit) & 1 == 1
+        live = top > bit
+        X, Y, Z = (np.where(live, np.where(add, u, v), w) for u, v, w in zip(A, D, (X, Y, Z)))
+    return X, Y, Z
+
+
+def _to_affine(X, Y, Z, p):
+    """Affine x and y of Jacobian points stacked along axis 0, with one
+    inversion per lane (Montgomery's trick), and the lanes whose every Z
+    is nonzero; the other lanes' coordinates are meaningless."""
+    inv_z = np.empty_like(Z)
+    acc = inv_z[0] = Z[0]
+    for t in range(1, len(Z)):
+        acc = inv_z[t] = acc * Z[t] % p
+    ok = acc != 0
+    inv = np.array([pow(z, -1, q) if z else 0 for z, q in zip(acc.tolist(), p.tolist())],
+                   dtype=np.uint64)
+    for t in range(len(Z) - 1, 0, -1):
+        inv, inv_z[t] = inv * Z[t] % p, inv * inv_z[t - 1] % p
+    inv_z[0] = inv
+    zz = inv_z * inv_z % p
+    return X * zz % p, Y * (zz * inv_z % p) % p, ok
+
+
+def _lane_orders(ps, As, xs, ys):
+    """The scalar path's first window scan for a slice of primes at once.
+
+    Lane i is the curve with coefficient As[i] over F_ps[i] and the point
+    P = (xs[i], ys[i]), ys[i] != 0.  Babies are j*P for 1 <= j <= m;
+    giants are c*P for c = lo + m + i*(2m + 1), so each giant's x meets
+    the baby at every offset in [-m, m] but 0, and the y signs say which.
+    With ord(P) > 2m + 1 the babies' x are distinct and each match is one
+    annihilator of P; the window's multiples of ord(P) are all among them.
+    Returns per lane that multiple when it is unique, else 0, and the
+    count of lanes by the reason they were not settled.
+    """
+    n = len(ps)
+    t = [isqrt(4 * q) for q in ps]
+    lo = np.array([q + 1 - s for q, s in zip(ps, t)], dtype=np.int64)
+    hi = lo + 2 * np.array(t, dtype=np.int64)
+    width = 2 * max(t) + 1
+    m = isqrt(width // 2) + 1
+    stride = 2 * m + 1
+    p, a, x, y = (np.array(v, dtype=np.uint64) for v in (ps, As, xs, ys))
+
+    # rows j < m hold (j + 1)P, row m the giant stride (2m + 1)P
+    B = np.empty((3, m + 1, n), dtype=np.uint64)
+    B[0, 0], B[1, 0], B[2, 0] = x, y, 1
+    B[:, 1] = _jdbl(x, y, B[2, 0], a, p)
+    for j in range(2, m):
+        B[:, j] = _jmadd(*B[:, j - 1], x, y, p)
+    B[:, m] = _jmadd(*_jdbl(*B[:, m - 1], a, p), x, y, p)
+    bx, by, b_ok = _to_affine(*B, p)
+    del B
+    small = ~b_ok  # some Z = 0: ord(P) <= 2m + 1
+    sx, sy = bx[m].copy(), by[m].copy()
+
+    # baby keys (lane, x, j) in bits 48.., 16..47 and 0..15, sorted
+    lane = np.arange(n, dtype=np.uint64)
+    row = np.arange(1, m + 1, dtype=np.uint64)[:, None]
+    bkey = np.sort(((((lane << 32) | bx[:m]) << 16) | row).ravel())
+    del bx
+    twice = (bkey[1:] >> 16) == (bkey[:-1] >> 16)  # two babies on one x: ord(P) <= 2m
+    small[(bkey[1:][twice] >> 48).astype(np.intp)] = True
+
+    c0 = lo + m
+    G = np.empty((3, -(-width // stride), n), dtype=np.uint64)
+    G[:, 0] = _jmul(c0, x, y, a, p)
+    for i in range(1, G.shape[1]):
+        G[:, i] = _jmadd(*G[:, i - 1], sx, sy, p)
+    gx, gy, g_ok = _to_affine(*G, p)
+    del G
+
+    # a giant (lane, x) meets the first baby key at or above it
+    gkey = (((lane << 32) | gx) << 16).ravel()
+    del gx
+    pos = np.minimum(np.searchsorted(bkey, gkey), len(bkey) - 1)
+    hit = np.flatnonzero((bkey[pos] >> 16) == (gkey >> 16))
+    li = hit % n
+    j = (bkey[pos[hit]] & 0xFFFF).astype(np.int64)
+    same = gy.ravel()[hit] == by.ravel()[(j - 1) * n + li]
+    k = c0[li] + (hit // n) * stride + np.where(same, -j, j)
+    keep = (k >= lo[li]) & (k <= hi[li])
+    found = np.sort((li[keep].astype(np.int64) << 34) | k[keep])
+    found = found[np.diff(found, prepend=-1) != 0]
+    count = np.bincount(found >> 34, minlength=n)
+    orders = np.zeros(n, dtype=np.int64)
+    orders[found >> 34] = found & ((1 << 34) - 1)
+
+    degenerate = ~small & ~g_ok
+    scanned = ~small & g_ok
+    if (scanned & (count == 0)).any():
+        lost = ps[int(np.argmax(scanned & (count == 0)))]
+        raise AssertionError(f"lane scan lost the group order over F_{lost}")
+    several = scanned & (count > 1)
+    orders[~scanned | several] = 0
+    return orders.tolist(), {"scalar_small_order": int(small.sum()),
+                             "scalar_degenerate": int(degenerate.sum()),
+                             "scalar_multiples": int(several.sum())}
+
+
+def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
+    """group_order of y^2 = x^3 + Ax + B at each prime, all of good reduction.
+
+    Primes in [2**10, 2**32) take the scalar path's first sampled point
+    and run its window scan together, a slice of up to _LANES primes at a
+    time in numpy lanes.  A lane settles by the scalar rule: exactly one
+    multiple of the point's order in the Hasse window.  Every other prime,
+    and all of them when fewer than _MIN_LANES would share the lanes, goes
+    to group_order.  stats, a Counter when given, receives the number of
+    orders settled in lanes (orders_batched) and left to group_order
+    (orders_scalar), and the latter by reason: p outside the lane range
+    (scalar_p_range), a point of order 2 (scalar_y_zero), too few lane
+    primes (scalar_small_batch), a point of order at most 2m + 1
+    (scalar_small_order), a giant at infinity or a degenerate step
+    (scalar_degenerate), and several multiples in the window
+    (scalar_multiples).
+    """
+    counts = Counter()
+    out = [0] * len(primes)
+    index = [i for i, p in enumerate(primes) if _EXHAUSTIVE_BELOW <= p < _LANE_LIMIT]
+    counts["scalar_p_range"] = len(primes) - len(index)
+    if len(index) < _MIN_LANES:
+        counts["scalar_small_batch"] = len(index)
+        index = []
+    slices = -(-len(index) // _LANES)  # of equal size, at most _LANES
+    for k in range(slices):
+        lanes = []
+        for i in index[k * len(index) // slices : (k + 1) * len(index) // slices]:
+            p = primes[i]
+            a, b = A % p, B % p
+            (x, y), _ = _sample_point(p, a, b, _mix_seed(p, a, b, 1))
+            if y == 0:
+                counts["scalar_y_zero"] += 1
+            else:
+                lanes.append((i, p, a, x, y))
+        if lanes:
+            where, *cols = zip(*lanes)
+            found, why = _lane_orders(*cols)
+            for i, n in zip(where, found):
+                out[i] = n
+            counts.update(why)
+    counts["orders_batched"] = sum(1 for n in out if n)
+    counts["orders_scalar"] = len(primes) - counts["orders_batched"]
+    for i, p in enumerate(primes):
+        if not out[i]:
+            out[i] = group_order(ReducedCurve(p, A % p, B % p))
+    if stats is not None:
+        stats.update(counts)
+    return out
 
 
 def point_order(P, N: int, C: ReducedCurve) -> int:
@@ -456,20 +672,35 @@ def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
     raise IterationCap(f"l={l} structure unresolved for p={p} within budget")
 
 
-def group_structure(C: ReducedCurve) -> GroupStructure:
+def group_structure(C: ReducedCurve, n: int | None = None, stats=None) -> GroupStructure:
     """Invariant factors (n, d, e) of the point group, always exact.
 
-    Only primes l with l^2 | n and l | p-1 can divide d; each contributes
-    its certified Sylow first invariant.
+    n, when given, is the group order computed elsewhere (the census takes
+    it from group_orders); otherwise group_order computes it.  Only primes
+    l with l^2 | n and l | p-1 can divide d; each contributes its
+    certified Sylow first invariant.  For l = 2 the discriminant of the
+    cubic decides without sampling when it can.  By Stickelberger a
+    non-square discriminant means exactly one root, so E(F_p)[2] = Z/2 and
+    the 2-Sylow subgroup is cyclic.  A square one with 4 | n means three
+    roots, so 2 | d, and the exponent is 1 when min(v // 2, v_2(p - 1))
+    = 1.  stats, a Counter when given, receives the number of primes whose
+    2-part the discriminant settled (two_by_discriminant).
     """
     p, a, b = C.p, C.a, C.b
-    n = group_order(C)
-    if n == 1:
-        return GroupStructure(1, 1, 1)
+    if n is None:
+        n = group_order(C)
     d = 1
     for l, v in factorize(n):
-        if v >= 2 and (p - 1) % l == 0:
-            d *= l ** _sylow_first_invariant(p, a, b, n, l, v)
+        if v < 2 or (p - 1) % l:
+            continue
+        if l == 2:
+            square = legendre(-(4 * a**3 + 27 * b * b), p) == 1
+            if not square or v < 4 or p & 3 == 3:
+                if stats is not None:
+                    stats["two_by_discriminant"] += 1
+                d *= 2 if square else 1
+                continue
+        d *= l ** _sylow_first_invariant(p, a, b, n, l, v)
     return GroupStructure(n, d, n // d)
 
 

@@ -56,6 +56,9 @@ def test_classify_prime_against_brute_force():
                     while m % q == 0:
                         m //= q
             assert prod == rad
+    for p in (1, 4, 1001, 2047):  # 2047 = 23 * 89 passes a base-2 Fermat test
+        with pytest.raises(ValueError):
+            classify_prime(E1, p)
 
 
 def test_run_census_frozen_counts():
@@ -100,8 +103,11 @@ def test_run_census_validation():
 
 
 def strip_elapsed(report: CensusReport) -> dict:
+    """The report without what describes the run rather than its results:
+    the wall time and the run counters."""
     d = report.to_json_dict()
     d.pop("elapsed_seconds")
+    d.pop("extra")
     return d
 
 
@@ -116,6 +122,11 @@ def test_checkpoint_resume_matches_scratch(tmp_path, monkeypatch):
     resumed = run_census(E1, 5000, checkpoint=ck)
     scratch = run_census(E1, 5000)
     assert strip_elapsed(resumed) == strip_elapsed(scratch)
+    chunks = -(-scratch.total_primes // 64)
+    reused = half.total_primes // 64  # the shorter run's full chunks
+    assert (resumed.extra["chunks_reused"], resumed.extra["chunks_computed"]) == (
+        reused, chunks - reused)
+    assert (scratch.extra["chunks_reused"], scratch.extra["chunks_computed"]) == (0, chunks)
     assert strip_elapsed(half) == strip_elapsed(run_census(E1, 2500))
 
     # a third run over the same bound reuses every chunk without rewriting
@@ -123,6 +134,8 @@ def test_checkpoint_resume_matches_scratch(tmp_path, monkeypatch):
     again = run_census(E1, 5000, checkpoint=ck)
     assert strip_elapsed(again) == strip_elapsed(scratch)
     assert open(ck).read() == before
+    assert again.extra == {"chunks_computed": 0, "chunks_reused": chunks, "orders_batched": 0,
+                           "orders_scalar": 0, "two_by_discriminant": 0}
 
 
 def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
@@ -249,6 +262,11 @@ def test_workers_agree(tmp_path, monkeypatch):
     solo = run_census(E2, 3000, workers=1)
     duo = run_census(E2, 3000, workers=2)
     assert strip_elapsed(solo) == strip_elapsed(duo)
+    # The run counters are deterministic: the same with one worker or two,
+    # and every good prime's order comes from the lanes or from group_order.
+    assert solo.extra == duo.extra
+    assert solo.extra["orders_batched"] + solo.extra["orders_scalar"] == solo.good_primes
+    assert solo.extra["orders_batched"] > 0 and solo.extra["two_by_discriminant"] > 0
 
 
 def test_split_count():
@@ -256,8 +274,9 @@ def test_split_count():
     r = run_census(E1, 5000)
     for l in (2, 3, 5, 7):
         assert split_count(E1, l, 5000) == r.split_counts[l], l
-    with pytest.raises(ValueError):
-        split_count(E1, 1, 100)
+    for l in (1, 4):
+        with pytest.raises(ValueError):
+            split_count(E1, l, 3000)
 
 
 def test_inclusion_exclusion_frozen():

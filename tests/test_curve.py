@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,7 @@ from cyclored.curve import (
     ReducedCurve,
     add,
     group_order,
+    group_orders,
     group_structure,
     has_full_ell_torsion,
     is_cyclic,
@@ -31,7 +33,7 @@ from cyclored.curve import (
     scalar_mul,
 )
 from cyclored.curve import _order_exhaustive
-from cyclored.modmath import sieve_primes
+from cyclored.modmath import is_prime, legendre, sieve_primes
 
 
 def test_singular_models_rejected():
@@ -179,6 +181,94 @@ def test_sylow_certifier_matches_torsion_counts():
         for m in deep:
             deep[m] += d % m == 0
     assert deep == {4: 30, 9: 5}
+
+
+def _primes_below(top, count):
+    """The count largest primes below top, ascending."""
+    out = []
+    q = top - 1
+    while len(out) < count:
+        if is_prime(q):
+            out.append(q)
+        q -= 2
+    return out[::-1]
+
+
+def test_lane_orders_match_group_order():
+    # Every good prime up to 2*10^4 of the registry curves and of seeded
+    # random curves, two of them with coefficients above 10^12, and bands
+    # just below 2^31 and 2^32, where residue products come closest to
+    # 2^64.  Every route to the scalar path is taken at least once.
+    rng = random.Random(11)
+    curves = [CurveOverQ(A, B) for A, B in FIVE_CURVES]
+    curves += [CurveOverQ(rng.randrange(-999, 1000), rng.randrange(-999, 1000)) for _ in range(2)]
+    curves += [CurveOverQ(rng.randrange(10**12, 10**14), -rng.randrange(10**12, 10**14))
+               for _ in range(2)]
+    low = sieve_primes(20_000)
+    bands = [(E, low) for E in curves]
+    bands += [(E, _primes_below(top, 100)) for E in (curves[0], curves[-1])
+              for top in (1 << 31, 1 << 32)]
+    bands.append((curves[1], [p for p in low if p > 10_000][:5]))  # too few for lanes
+    routes = Counter()
+    for E, primes in bands:
+        good = [p for p in primes if E.delta_E % p]
+        before = routes["orders_batched"] + routes["orders_scalar"]
+        got = group_orders(E.A, E.B, good, routes)
+        assert got == [group_order(reduce(E, p)) for p in good], (E, good[0], good[-1])
+        assert routes["orders_batched"] + routes["orders_scalar"] == before + len(good)
+    for route in ("scalar_p_range", "scalar_small_batch", "scalar_y_zero",
+                  "scalar_small_order", "scalar_degenerate", "scalar_multiples"):
+        assert routes[route] > 0, route
+    # the lanes settle most of the primes they scan
+    scanned = routes["orders_batched"] + sum(
+        routes[r] for r in ("scalar_small_order", "scalar_degenerate", "scalar_multiples"))
+    assert routes["orders_batched"] > 0.85 * scanned
+
+
+def test_lane_routes_by_point_order():
+    # One lane per point of order r, 3 <= r <= 40, on curves over F_1031,
+    # whose Hasse window has width 129, so the babies reach m = 9.  Orders
+    # up to 2m + 1 = 19 are small: a baby or the stride is the point at
+    # infinity, or two babies share an x.  Larger ones leave several
+    # multiples in the window, or put one on a giant.  None settles.
+    p = 1031
+    points = {}
+    for a, b in ((a, b) for a in range(1, 40) for b in range(1, 40)):
+        if len(points) == 38:
+            break
+        C = ReducedCurve(p, a, b)
+        n = _order_exhaustive(p, a, b)
+        for s in range(4):
+            P = random_point(C, s)
+            if P[1] == 0:
+                continue
+            o = point_order(P, n, C)
+            for r in range(3, 41):
+                if o % r == 0 and r not in points:
+                    points[r] = (a, scalar_mul(o // r, P, C))
+    assert sorted(points) == list(range(3, 41))
+    for r, (a, (x, y)) in points.items():
+        orders, why = curve._lane_orders((p,), (a,), (x,), (y,))
+        assert orders == [0] and sum(why.values()) == 1, r
+        assert why["scalar_small_order"] == (r <= 19), (r, why)
+
+
+def test_two_torsion_by_discriminant_matches_sylow():
+    # Every good prime up to 3*10^4 with 4 | n on the registry curves: the
+    # discriminant is a square mod p exactly when sampling the 2-Sylow
+    # subgroup certifies full 2-torsion.
+    seen = Counter()
+    for A, B in FIVE_CURVES:
+        E = CurveOverQ(A, B)
+        good = [p for p in sieve_primes(30_000) if E.delta_E % p]
+        for p, n in zip(good, group_orders(A, B, good)):
+            if n % 4:
+                continue
+            v = (n & -n).bit_length() - 1
+            square = legendre(E.delta_E, p) == 1
+            assert square == (curve._sylow_first_invariant(p, A % p, B % p, n, 2, v) >= 1), (A, B, p)
+            seen[square] += 1
+    assert seen[True] > 1000 and seen[False] > 1000
 
 
 def test_group_order_hasse_bound():

@@ -2,6 +2,9 @@
 curves: an exact prime census, rigorous density enclosures with
 entanglement corrections, and finite matrix-group oracles."""
 
+# Set before the submodules load: density reports record it as provenance.
+__version__ = "0.1.0"
+
 from .census import (
     CensusReport,
     CheckpointCorrupt,
@@ -68,5 +71,3 @@ from .galois_image import (
 )
 from .ingest import FixtureMissing, SchemaMismatch, ingest_degrees
 from .registry import REGISTRY, CurveSpec, get_curve
-
-__version__ = "0.1.0"

@@ -13,7 +13,7 @@ import sys
 
 from .census import CheckpointCorrupt, run_census
 from .curve import CurveOverQ
-from .density import DegreeProfile, artin_constant, build_density_report
+from .density import DegreeOne, DegreeProfile, artin_constant, build_density_report
 from .entangle import (
     ClosureCapExceeded,
     NotCentral,
@@ -127,23 +127,34 @@ def cmd_density(args) -> int:
         profile = _resolve_profile(args)
     except FixtureMissing as exc:
         return _fail(str(exc), EXIT_IO)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    except (ValueError, KeyError, TypeError, SchemaMismatch, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError, SchemaMismatch) as exc:
         return _fail(f"profile: {exc}", EXIT_USAGE)
-    if args.truncation < 2:
-        return _fail("--truncation must be at least 2", EXIT_USAGE)
-    report = build_density_report(profile, L=args.truncation)
-    d_lo, d_hi = report.delta.decimal_bounds(12)
-    n_lo, n_hi = report.naive.decimal_bounds(12)
-    print(f"delta in [{d_lo}, {d_hi}]")
-    print(f"naive in [{n_lo}, {n_hi}]")
-    print(f"alpha = {report.alpha}")
-    print(f"c = {report.c}")
-    print(f"vanishing: {report.vanishing}")
+    if not 2 <= args.truncation <= SIEVE_LIMIT:
+        return _fail("--truncation must be between 2 and 2**32", EXIT_USAGE)
+    if max(profile.annotated_primes(), default=0) > SIEVE_LIMIT:
+        return _fail("profile: annotated primes must not exceed 2**32", EXIT_USAGE)
+    try:
+        report = build_density_report(profile, L=args.truncation)
+        d_lo, d_hi = report.delta.decimal_bounds(12)
+        n_lo, n_hi = report.naive.decimal_bounds(12)
+        summary = (
+            f"delta in [{d_lo}, {d_hi}]\n"
+            f"naive in [{n_lo}, {n_hi}]\n"
+            f"alpha = {report.alpha}\n"
+            f"c = {report.c}\n"
+            f"vanishing: {report.vanishing}"
+        )
+        doc = report.to_json_dict()
+    except (DegreeOne, ValueError) as exc:
+        # DegreeOne: a charsum or superfluous prime of degree 1.  ValueError:
+        # exact factors too long to render as decimal integers.
+        return _fail(f"profile: {exc}", EXIT_USAGE)
+    print(summary)
     if args.output:
         try:
-            write_json_atomic(args.output, report.to_json_dict())
+            write_json_atomic(args.output, doc)
         except OSError as exc:
             return _fail(str(exc), EXIT_IO)
         print(f"report written to {args.output}")
@@ -208,8 +219,8 @@ def cmd_galois(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.truncation < 2:
-        return _fail("--truncation must be at least 2", EXIT_USAGE)
+    if not 2 <= args.truncation <= SIEVE_LIMIT:
+        return _fail("--truncation must be between 2 and 2**32", EXIT_USAGE)
     iv = artin_constant(args.truncation)
     lo, hi = iv.decimal_bounds(20)
     width = truncate_decimal(iv.width.numerator, iv.width.denominator, 20)

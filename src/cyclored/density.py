@@ -1,8 +1,11 @@
 """Exact rational and interval arithmetic for cyclic-reduction densities.
 
 Infinite Euler products are returned as rational intervals with proven
-tail bounds; every correction factor stays an exact Fraction so that
-vanishing is decided by exact arithmetic, never by a float comparison.
+tail bounds.  The truncated product runs in directed-rounding fixed point,
+so its endpoints are dyadic rationals k / 2**256 rounded outward, with
+the 1/L^3 tail folded into the lower one.  Every correction factor stays
+an exact Fraction, so that vanishing is decided by exact arithmetic,
+never by a float comparison.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
+from . import __version__
 from .modmath import divisors, factorize, is_prime, moebius, sieve_primes
 from .utils import truncate_decimal
 
@@ -186,6 +190,11 @@ class DegreeProfile:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DegreeProfile":
+        if not isinstance(d, dict):
+            raise ValueError("a profile must be a JSON object")
+        for key in ("degrees", "overrides"):
+            if not isinstance(d.get(key, {}), dict):
+                raise ValueError(f"{key} must be a JSON object")
         return cls(
             degrees={int(k): int(v) for k, v in d.get("degrees", {}).items()},
             superfluous=frozenset(int(x) for x in d.get("superfluous", ())),
@@ -194,30 +203,42 @@ class DegreeProfile:
         )
 
 
-def _tail_bound(L: int) -> Fraction:
-    # sum over integers n > L of 1/((n^2-1)(n^2-n)) telescopes below 1/L^3:
-    # each term is at most 1/(n-1)^3 - 1/n^3, valid for every n >= 2.
-    return Fraction(1, L**3)
+SCALE_BITS = 256
+_ONE = 1 << SCALE_BITS
 
 
-def _euler_product(L: int, degree_of, skip=None) -> Fraction | None:
-    """Exact partial product of (1 - 1/degree_of(l)) over primes l <= L,
-    omitting primes matched by the skip predicate.
+def _euler_product(L: int, degrees: dict[int, int], omit=frozenset()) -> Interval:
+    """Enclosure of the product over all primes l of 1 - 1/[K_l : K].
 
-    Returns None when some factor vanishes (a degree of 1), since the
-    whole product is then exactly zero.
+    A prime l <= L contributes 1 - 1/degrees[l] when annotated and
+    1 - 1/gl2_order(l) otherwise; primes in omit contribute nothing.
+    Primes beyond L are maximal, and their factors are bounded below by
+    1 - 1/L^3: the sum over integers n > L of 1/((n^2-1)(n^2-n))
+    telescopes below 1/L^3, each term being at most 1/(n-1)^3 - 1/n^3.
+
+    The product runs in fixed point, on integers scaled by 2**SCALE_BITS:
+    lo is rounded down and hi up at every factor, and the tail is folded
+    into lo, rounded down, so both endpoints are dyadic rationals
+    k / 2**SCALE_BITS.  Each rounding costs at most one unit, and a unit
+    stays below the 1/L^3 tail for every L <= 2**32.  A degree of 1 makes
+    both endpoints, and so the product, exactly zero.
     """
-    num = 1
-    den = 1
+    special = dict(degrees)
+    special.update(dict.fromkeys(omit))
+    lo = hi = _ONE
     for l in sieve_primes(L):
-        if skip is not None and skip(l):
-            continue
-        d = degree_of(l)
-        if d == 1:
-            return None
-        num *= d - 1
-        den *= d
-    return Fraction(num, den)
+        if l in special:
+            d = special[l]
+            if d is None:
+                continue
+        else:
+            ll = l * l
+            d = (ll - 1) * (ll - l)
+        # x (d - 1) / d = x - x / d: floor for lo, ceiling for hi
+        lo -= -(-lo // d)
+        hi -= hi // d
+    lo -= -(-lo // L**3)
+    return Interval(Fraction(lo, _ONE), Fraction(hi, _ONE))
 
 
 def artin_constant(L: int) -> Interval:
@@ -225,8 +246,7 @@ def artin_constant(L: int) -> Interval:
     of 1 - 1/((l^2-1)(l^2-l)) over all primes, truncated at L."""
     if L < 2:
         raise ValueError("truncation bound must be at least 2")
-    P = _euler_product(L, gl2_order)
-    return Interval(P * (1 - _tail_bound(L)), P)
+    return _euler_product(L, {})
 
 
 def naive_density(profile: DegreeProfile, L: int = 10**5) -> Interval:
@@ -236,12 +256,8 @@ def naive_density(profile: DegreeProfile, L: int = 10**5) -> Interval:
     annotated prime so no substitution is lost to the tail."""
     if L < 2:
         raise ValueError("truncation bound must be at least 2")
-    ann = profile.annotated_primes()
-    L = max(L, max(ann, default=0))
-    P = _euler_product(L, profile.degree)
-    if P is None:
-        return Interval.point(0)
-    return Interval(P * (1 - _tail_bound(L)), P)
+    L = max(L, max(profile.annotated_primes(), default=0))
+    return _euler_product(L, profile.degrees)
 
 
 def delta_partial(n: int, profile: DegreeProfile) -> Fraction:
@@ -274,10 +290,7 @@ def delta_factored(
     deltaN = Fraction(deltaN)
     if deltaN < 0:
         raise ValueError("density at the modulus cannot be negative")
-    P = _euler_product(L, profile.degree, skip=lambda l: N % l == 0)
-    if P is None:
-        return Interval.point(0)
-    return Interval(P * (1 - _tail_bound(L)), P).scale(deltaN)
+    return _euler_product(L, {}, {q for q, _ in factorize(N)}).scale(deltaN)
 
 
 def charsum_alpha(degrees: dict[int, int]) -> Fraction:
@@ -412,8 +425,11 @@ def build_density_report(
     substituted product equals the maximal product times the exact ratio
     c_factor(profile, 1) of the annotated Euler factors.  One product is
     evaluated, and naive and delta are exact rational rescalings of it;
-    naive_density evaluates the substituted product directly and is the
-    reference they are checked against.
+    naive_density evaluates the substituted product directly.
+
+    The provenance records the version, the method, the effective
+    truncation, the fixed-point scale and the width of the delta
+    enclosure; entries passed in are added to it.
     """
     ann = profile.annotated_primes()
     L = max(L, max(ann, default=0), 2)
@@ -428,6 +444,16 @@ def build_density_report(
     naive = a_inf.scale(c_factor(profile, 1))
     delta = a_inf.scale(c)
     vanishing = classify_vanishing(naive, alpha, profile)
+    width = delta.width
+    prov = {
+        "version": __version__,
+        "method": "fixed-point Euler product scaled by 2**256, lo rounded "
+        "down and hi up, 1/L^3 tail folded into lo",
+        "truncation": L,
+        "scale_bits": SCALE_BITS,
+        "delta_width": truncate_decimal(width.numerator, width.denominator, 40),
+    }
+    prov.update(provenance or {})
     return DensityReport(
         profile=profile,
         truncation=L,
@@ -439,5 +465,5 @@ def build_density_report(
         c=c,
         delta=delta,
         vanishing=vanishing,
-        provenance=provenance or {},
+        provenance=prov,
     )

@@ -1,15 +1,18 @@
 """Shared brute-force oracles for the test suite.
 
 The oracles never call the code paths they validate: point counting is
-a full quadratic-residue scan and group invariants come from the order
-statistics of every single point or from counts of torsion points.
+a full quadratic-residue scan, group invariants come from the order
+statistics of every single point or from counts of torsion points, and
+truncated Euler products are exact Fractions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, isqrt
 
 from cyclored.curve import ReducedCurve
+from cyclored.modmath import sieve_primes
 
 FIVE_CURVES = [
     (-3, 1),
@@ -110,3 +113,32 @@ def brute_first_invariant(p: int, a: int, b: int) -> int:
 
 def reduced(A: int, B: int, p: int) -> ReducedCurve:
     return ReducedCurve(p, A % p, B % p)
+
+
+def _euler_product(L: int, degree_of, skip=None) -> Fraction | None:
+    """Exact partial product of (1 - 1/degree_of(l)) over primes l <= L,
+    omitting primes matched by the skip predicate.
+
+    Returns None when some factor vanishes (a degree of 1), since the
+    whole product is then exactly zero.
+    """
+    num = 1
+    den = 1
+    for l in sieve_primes(L):
+        if skip is not None and skip(l):
+            continue
+        d = degree_of(l)
+        if d == 1:
+            return None
+        num *= d - 1
+        den *= d
+    return Fraction(num, den)
+
+
+def exact_euler_interval(L: int, degree_of, skip=None) -> tuple[Fraction, Fraction]:
+    """The exact truncated product P with its 1/L^3 tail: (P (1 - 1/L^3), P),
+    or (0, 0) when a factor vanishes."""
+    P = _euler_product(L, degree_of, skip)
+    if P is None:
+        return Fraction(0), Fraction(0)
+    return P * (1 - Fraction(1, L**3)), P

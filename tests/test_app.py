@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -253,6 +255,114 @@ def test_cli_density_ingest(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_density_output_at_default_truncation(tmp_path, capsys):
+    for label in LABELS:
+        out_path = tmp_path / f"{label}.json"
+        code, _, _ = run_cli(capsys, "density", "--label", label,
+                             "--output", str(out_path))
+        assert code == 0, label
+        doc = json.loads(out_path.read_text())
+        assert doc["truncation"] == 10**5
+        assert doc["provenance"]["truncation"] == 10**5
+        for part in ("a_inf", "naive", "delta"):
+            iv = doc[part]
+            assert len(iv["lo_exact"]) < 200 and len(iv["hi_exact"]) < 200
+            assert Fraction(iv["lo_decimal"]) <= Fraction(iv["hi_decimal"])
+        for part in ("charsum_factor", "superfluous_factor", "alpha", "c"):
+            assert len(doc[part]["exact"]) < 200
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"degrees": {"2": 1, "3": 2}, "charsum": [2, 3]}, "degree 1 at 2"),
+    ({"degrees": {"11": 1}, "superfluous": [11]}, "degree 1 at superfluous prime 11"),
+    ([{"degrees": {"2": 3}}], "a profile must be a JSON object"),
+    ({"degrees": [[2, 3]]}, "degrees must be a JSON object"),
+    ({"degrees": {"4294967311": 2}}, "annotated primes must not exceed 2**32"),
+    ({"degrees": {str(l): 10**2000 for l in (2, 3, 5)}}, "integer string conversion"),
+])
+def test_cli_density_profile_errors(tmp_path, capsys, doc, reason):
+    path = tmp_path / "prof.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "density", "--profile", str(path),
+                             "--truncation", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: profile: ") and err.count("\n") == 1
+    assert reason in err
+
+
+_EDGE_KEYS = ["2", "3", "5", "7", "11", "13", "19", "997", "1", "0", "-3", "4",
+              "x", "4294967311", str(10**30), "1e3"]
+_EDGE_VALUES = [1, 2, 3, 4, 48, 123119, 0, -1, 10**30, 10**1500, "7", "x", None,
+                1.5, True, [], {}]
+_EDGE_TRUNCATIONS = ["-5", "0", "1", "2", "3", "97", "1000", "4294967297",
+                     "5000000000", str(10**30), "abc", "1e3"]
+
+
+def _edge_profile(rng):
+    """A profile document built from valid and invalid pieces."""
+    if rng.random() < 0.1:
+        return rng.choice([[], [1, 2], 5, "profile", None, [[[[]]]]])
+    doc = {}
+    if rng.random() < 0.8:
+        if rng.random() < 0.1:
+            doc["degrees"] = rng.choice([[], "2", 5])
+        else:
+            doc["degrees"] = {rng.choice(_EDGE_KEYS): rng.choice(_EDGE_VALUES)
+                              for _ in range(rng.randrange(4))}
+    for role in ("superfluous", "charsum"):
+        if rng.random() < 0.4:
+            picks = [int(k) for k in rng.sample(_EDGE_KEYS[:10], rng.randrange(4))]
+            doc[role] = rng.choice([picks, picks, "11", 7, [None], {"11": 2}])
+    if rng.random() < 0.2:
+        doc["overrides"] = rng.choice([{"6": 1}, {"12": 5}, {str(10**30): 2},
+                                       {"6": 10**30}, [6]])
+    return doc
+
+
+def _sweep_cli(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects malformed integers
+        code = exc.code
+    except Exception as exc:  # an uncaught exception ends in a traceback
+        pytest.fail(f"{argv}: {exc!r}")
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err, argv
+    return code
+
+
+def test_cli_density_and_constants_edge_sweep(tmp_path, capsys):
+    # Accepted truncations stay small and annotated primes stay at most
+    # 997 or above 2**32, so no case sieves a large bound.
+    rng = random.Random(2718)
+    codes = []
+    for i in range(150):
+        doc = _edge_profile(rng)
+        path = tmp_path / f"p{i}.json"
+        path.write_text(json.dumps(doc))
+        argv = ["density", "--profile", str(path),
+                "--truncation", rng.choice(_EDGE_TRUNCATIONS)]
+        if rng.random() < 0.3:
+            argv += ["--output", str(tmp_path / f"out{i}.json")]
+        codes.append(_sweep_cli(argv, capsys))
+        if isinstance(doc, dict):
+            fixture = tmp_path / "fixtures" / f"f{i}.json"
+            fixture.parent.mkdir(exist_ok=True)
+            fixture.write_text(json.dumps({"label": f"f{i}", **doc}))
+            codes.append(_sweep_cli(["density", "--ingest", f"f{i}", "--fixtures",
+                                     str(fixture.parent), "--truncation", "100"], capsys))
+    (tmp_path / "broken.json").write_text("{oops")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    for name in ("broken.json", "deep.json", "missing.json", "."):
+        codes.append(_sweep_cli(["density", "--profile", str(tmp_path / name)], capsys))
+    for trunc in _EDGE_TRUNCATIONS:
+        codes.append(_sweep_cli(["constants", "--truncation", trunc], capsys))
+    # the sweep reaches both the accepted and the rejected paths
+    assert codes.count(0) >= 20 and codes.count(2) >= 20 and 4 in codes
+
+
 def test_cli_entangle(tmp_path, capsys):
     doc = {"construction": "full_product", "moduli": [2, 3]}
     path = tmp_path / "group.json"
@@ -321,6 +431,8 @@ def test_cli_constants(capsys):
     (("galois", "--a", "1", "--b", "3", "--l", "5", "--sample-bound", "5000000000"),
      "--sample-bound"),
     (("galois", "--a", "1", "--b", "3", "--l", "5", "--sample-bound", "1"), "--sample-bound"),
+    (("constants", "--truncation", "5000000000"), "--truncation"),
+    (("density", "--truncation", "5000000000"), "--truncation"),
 ])
 def test_cli_rejects_out_of_range_options(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)

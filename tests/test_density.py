@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import cyclored
+from conftest import exact_euler_interval
 from cyclored.curve import CurveOverQ
 from cyclored.density import (
     DegreeOne,
@@ -28,10 +30,24 @@ from cyclored.density import (
     superfluous_correction,
 )
 from cyclored.entangle import index2_character_subgroup
-from cyclored.modmath import sieve_primes
+from cyclored.modmath import factorize, sieve_primes
 from cyclored.registry import REGISTRY
+from cyclored.utils import truncate_decimal
 
 F = Fraction
+UNIT = F(1, 2**256)  # one step of the fixed-point Euler product
+TRUNCATIONS = (2, 100, 1000)
+
+
+def assert_tight_enclosure(iv, exact, L, scale=1):
+    """iv encloses the exact interval (lo, hi), and each endpoint lies
+    within pi(L) + 1 fixed-point units of the exact one, times the exact
+    factor the product was rescaled by: one unit per rounded factor and
+    one for the tail."""
+    lo, hi = exact
+    slack = scale * (len(sieve_primes(L)) + 1) * UNIT
+    assert iv.lo <= lo and hi <= iv.hi, (iv, exact)
+    assert lo - iv.lo <= slack and iv.hi - hi <= slack, (iv, exact)
 
 
 def test_gl2_order():
@@ -135,10 +151,14 @@ def test_profile_json_round_trip():
 
 
 def test_artin_constant_endpoints():
-    # at L = 2 the product is 1 - 1/6 = 5/6 and the tail bound is 1/8
+    # at L = 2 the product is 1 - 1/6 = 5/6, rounded up for hi; lo rounds
+    # 5/6 down, then folds in the tail bound 1/8, rounding down again
+    scale = 2**256
     iv = artin_constant(2)
-    assert iv.hi == F(5, 6)
-    assert iv.lo == F(5, 6) * (1 - F(1, 8))
+    assert iv.hi == F(-(-5 * scale // 6), scale)
+    assert iv.lo == F(5 * scale // 6 * 7 // 8, scale)
+    for L in TRUNCATIONS:
+        assert_tight_enclosure(artin_constant(L), exact_euler_interval(L, gl2_order), L)
     with pytest.raises(ValueError):
         artin_constant(1)
 
@@ -161,14 +181,18 @@ def test_naive_density_no_annotations_is_artin():
         assert naive_density(prof, L) == artin_constant(L)
 
 
+def _effective_truncation(profile, L):
+    return max(L, max(profile.annotated_primes(), default=0))
+
+
 def test_naive_density_substitutes_exactly():
-    # degree 3 at 2 replaces the factor 5/6 by 2/3: ratio 4/5, exactly
-    prof = DegreeProfile(degrees={2: 3})
-    for L in (10, 100):
-        iv = naive_density(prof, L)
-        base = artin_constant(L)
-        assert iv.lo == base.lo * F(4, 5)
-        assert iv.hi == base.hi * F(4, 5)
+    # the substituted product, against the exact product with the
+    # profile's degrees, on registry and random profiles
+    for prof in _profiles():
+        for L in TRUNCATIONS:
+            Le = _effective_truncation(prof, L)
+            assert_tight_enclosure(naive_density(prof, L),
+                                   exact_euler_interval(Le, prof.degree), Le)
     # a degree-1 annotation zeroes the whole product
     assert naive_density(DegreeProfile(degrees={7: 1}), 50) == Interval.point(0)
     # truncation is raised to cover annotated primes beyond L
@@ -223,17 +247,27 @@ def test_delta_partial_superfluous_cancellation():
 
 
 def test_delta_factored_reassembly():
-    # splitting the product at a squarefree modulus and reassembling must
-    # reproduce the direct enclosure exactly
+    # deltaN times the maximal product over primes not dividing N, where
+    # deltaN is the product of the profile's Euler factors at the primes
+    # of N; against the exact product over the same primes
+    for prof in _profiles():
+        N = math.prod({2, 3, 5} | prof.annotated_primes())
+        dN = math.prod((1 - F(1, prof.degree(q)) for q, _ in factorize(N)), start=F(1))
+        for L in TRUNCATIONS:
+            lo, hi = exact_euler_interval(L, gl2_order, skip=lambda l: N % l == 0)
+            assert_tight_enclosure(delta_factored(N, dN, prof, L), (dN * lo, dN * hi), L, dN)
+    # with the level density of a profile multiplicative over the primes
+    # of N, reassembling gives the substituted product: both routes
+    # enclose the same exact interval
     prof = DegreeProfile(degrees={2: 3})
     L = 500
-    direct = naive_density(prof, L)
     N = 6
     dN = delta_partial(N, prof)
-    glued = delta_factored(N, dN, prof, L)
-    # the level density is multiplicative over the primes of N, so the
-    # two routes give the same exact endpoints
-    assert glued == direct
+    lo, hi = exact_euler_interval(L, gl2_order, skip=lambda l: N % l == 0)
+    direct = exact_euler_interval(L, prof.degree)
+    assert (dN * lo, dN * hi) == direct
+    assert_tight_enclosure(delta_factored(N, dN, prof, L), direct, L, dN)
+    assert_tight_enclosure(naive_density(prof, L), direct, L)
     with pytest.raises(ProfileLeak):
         delta_factored(15, F(1, 2), prof, 50)  # annotated prime 2 missing
     with pytest.raises(ValueError):
@@ -266,12 +300,15 @@ def test_superfluous_correction():
 
 
 def test_c_factor():
-    # matches the naive/artin endpoint ratio for the same profile
-    prof = DegreeProfile(degrees={2: 3})
-    c = c_factor(prof, F(1))
-    L = 100
-    assert naive_density(prof, L).hi == artin_constant(L).hi * c
-    assert c == F(4, 5)
+    # c(profile, 1) is the ratio of the substituted product to the maximal
+    # one, so the rescaled maximal enclosure holds the exact substituted one
+    for prof in _profiles():
+        c = c_factor(prof, F(1))
+        for L in TRUNCATIONS:
+            Le = _effective_truncation(prof, L)
+            assert_tight_enclosure(artin_constant(Le).scale(c),
+                                   exact_euler_interval(Le, prof.degree), Le, c)
+    assert c_factor(DegreeProfile(degrees={2: 3}), F(1)) == F(4, 5)
     assert c_factor(DegreeProfile(), F(7, 3)) == F(7, 3)
 
 
@@ -330,18 +367,47 @@ def _random_admissible_profile(rng):
     return DegreeProfile(degrees=degs, charsum=charsum, superfluous=superfluous)
 
 
-def test_build_density_report_matches_reference_product():
-    # The report rescales the maximal product; naive_density evaluates the
-    # substituted product itself, so the two must agree exactly.
+def _profiles():
     rng = random.Random(31)
     profiles = [spec.profile for spec in REGISTRY.values()]
-    profiles += [_random_admissible_profile(rng) for _ in range(40)]
-    for prof in profiles:
-        for L in (2, 100, 1000):
+    return profiles + [_random_admissible_profile(rng) for _ in range(40)]
+
+
+def test_build_density_report_matches_reference_product():
+    # The report rescales the maximal product by exact factors; naive and
+    # delta must enclose the exact substituted product and its alpha
+    # multiple, within the rounding of that one product.
+    for prof in _profiles():
+        c1 = c_factor(prof, F(1))
+        for L in TRUNCATIONS:
             rep = build_density_report(prof, L=L)
-            ref = naive_density(prof, L)
-            assert rep.naive == ref, (prof, L)
-            assert rep.delta == ref.scale(rep.alpha), (prof, L)
+            Le = _effective_truncation(prof, L)
+            assert rep.truncation == max(Le, 2)
+            lo, hi = exact_euler_interval(rep.truncation, prof.degree)
+            assert_tight_enclosure(rep.naive, (lo, hi), rep.truncation, c1)
+            assert_tight_enclosure(rep.delta, (rep.alpha * lo, rep.alpha * hi),
+                                   rep.truncation, rep.c)
+
+
+def test_build_density_report_provenance():
+    prof = REGISTRY["serre-ex3"].profile
+    rep = build_density_report(prof, L=1000, provenance={"source": "test"})
+    width = rep.delta.width
+    assert rep.provenance == {
+        "version": cyclored.__version__,
+        "method": rep.provenance["method"],
+        "truncation": 1000,
+        "scale_bits": 256,
+        "delta_width": truncate_decimal(width.numerator, width.denominator, 40),
+        "source": "test",
+    }
+    assert "2**256" in rep.provenance["method"] and "1/L^3" in rep.provenance["method"]
+    assert rep.to_json_dict()["provenance"] == rep.provenance
+    # deterministic: a second build records the same provenance
+    again = build_density_report(prof, L=1000)
+    assert again.provenance == {k: v for k, v in rep.provenance.items() if k != "source"}
+    assert build_density_report(DegreeProfile(degrees={19: 5}), L=2).provenance[
+        "truncation"] == 19
 
 
 def test_build_density_report_charsum_vanishing():

@@ -30,6 +30,11 @@ from .utils import truncate_decimal
 CHUNK_SIZE = 4096
 DEFAULT_SPLIT_PRIMES = (2, 3, 5, 7)
 _CHECKPOINT_VERSION = 1
+# curve.group_orders' and curve.group_structure's counters that
+# CensusReport.extra carries; the scalar_* reasons sum to orders_scalar
+_RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range", "scalar_small_batch",
+               "scalar_small_order", "scalar_degenerate", "scalar_multiples",
+               "lanes_twisted", "lanes_at_infinity", "two_by_discriminant")
 
 
 class CheckpointCorrupt(Exception):
@@ -380,7 +385,7 @@ def run_census(
         extra={
             "chunks_computed": len(computed),
             "chunks_reused": len(reused),
-            **{k: counts[k] for k in ("orders_batched", "orders_scalar", "two_by_discriminant")},
+            **{k: counts[k] for k in _RUN_COUNTS},
         },
     )
 

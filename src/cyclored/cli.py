@@ -12,7 +12,7 @@ import json
 import sys
 
 from .census import CheckpointCorrupt, run_census
-from .curve import CurveOverQ
+from .curve import BadWitness, CurveOverQ, IterationCap
 from .density import DegreeOne, DegreeProfile, artin_constant, build_density_report
 from .entangle import (
     ClosureCapExceeded,
@@ -74,6 +74,8 @@ def cmd_census(args) -> int:
         return _fail(f"checkpoint: {exc}", EXIT_IO)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
+    except (IterationCap, BadWitness) as exc:
+        return _fail(f"group structure: {exc}", EXIT_USAGE)
     print(
         f"curve ({report.a}, {report.b}) limit {report.limit}: "
         f"{report.cyclic_count}/{report.total_primes} cyclic "
@@ -223,7 +225,8 @@ def cmd_constants(args) -> int:
         return _fail("--truncation must be between 2 and 2**32", EXIT_USAGE)
     iv = artin_constant(args.truncation)
     lo, hi = iv.decimal_bounds(20)
-    width = truncate_decimal(iv.width.numerator, iv.width.denominator, 20)
+    # 40 digits: the width is at least 1/L**3 >= 2**-96, so it never prints as 0
+    width = truncate_decimal(iv.width.numerator, iv.width.denominator, 40)
     print(f"everywhere-maximal density constant, truncated at {args.truncation}:")
     print(f"  lo    {lo}")
     print(f"  hi    {hi}")

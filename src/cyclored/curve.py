@@ -10,19 +10,27 @@ sits on top of `group_order`, `group_orders` and `group_structure`.
 below 2**10, and baby-step giant-step over the Hasse window above it,
 refining the lcm of sampled point orders until a unique candidate
 survives, with a quadratic-twist pass as the tie breaker.  The census
-asks `group_orders` for a chunk of primes at once: it runs the first
-sampled point's baby-step giant-step for a slice of primes together in
-numpy uint64 lanes (Jacobian coordinates, one inversion per lane), and
-hands every prime the lanes do not settle to `group_order`, the only
-fallback.  Structure determination never touches pairings: the first
-invariant factor is certified per prime l by either a point whose l-part
-has full length (cyclic Sylow), or two independent points of order l,
+asks `group_orders` for a chunk of primes at once: it runs baby-step
+giant-step for a slice of primes together in numpy uint64 lanes
+(Jacobian coordinates, one inversion per lane), slices sized by their
+baby tables, and hands every prime the lanes do not settle to
+`group_order`, the only fallback.  A lane needs no square root: for
+c = f(x0) it scans the point (x0 c, c^2) of y^2 = x^3 + a c^2 x + b c^3,
+which is the curve or its quadratic twist as c is a square or not, and
+maps a twist's order n back to 2p + 2 - n.  A giant step that lands
+exactly on infinity yields its own scalar as an annihilator and the
+chain goes on in place.
+
+Structure determination never touches pairings: the first invariant
+factor is certified per prime l by either a point whose l-part has full
+length (cyclic Sylow), or two independent points of order l,
 independence decided by enumerating the <= l multiples of one of them.
 For l = 2 the discriminant of the cubic decides first where it can.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
-mix of (p, a, b) drives the x-candidates and the y-sign choice, so runs
-are bit-reproducible regardless of how work is partitioned.
+mix of (p, a, b) drives the x-candidates and the y-sign choice (the
+lanes draw x0 from the same stream in uint64), so runs are
+bit-reproducible regardless of how work is partitioned.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .modmath import factorize, legendre, sqrt_mod
+from .modmath import factorize, legendre, sqrt_residue
 
 Point = "tuple[int, int] | None"  # affine coordinates, None is the point at infinity
 
@@ -44,7 +52,7 @@ _EXHAUSTIVE_BELOW = 1 << 10
 _SAMPLE_BUDGET = 8          # points per order-finding pass before twisting
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
-_LANES = 384                # primes per slice: about 1 MiB of arrays at p ~ 2*10**5
+_BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
 _MIN_LANES = 32             # below this many, group_order is cheaper than a slice
 
 
@@ -207,12 +215,7 @@ def _sample_point(p, a, b, s):
         if rhs == 0:
             return (x, 0), s
         if pow(rhs, e2, p) == 1:
-            if p & 3 == 3:
-                r = pow(rhs, (p + 1) >> 2, p)
-                if r > p - r:
-                    r = p - r
-            else:
-                r = sqrt_mod(rhs, p)
+            r = sqrt_residue(rhs, p)
             s, z = _next64(s)
             return ((x, r) if z & 1 == 0 else (x, p - r)), s
     raise IterationCap(f"no affine point found on y^2=x^3+{a}x+{b} over F_{p}")
@@ -377,8 +380,9 @@ def group_order(C: ReducedCurve) -> int:
 # below 2**32 fits before its reduction.  Points are Jacobian, (X : Y : Z)
 # standing for (X/Z^2, Y/Z^3).  A step outside its formula's domain (adding
 # a point to itself or to its negative, doubling a point of order 2) and
-# the point at infinity both give Z = 0, which every later step keeps, so a
-# lane with Z = 0 anywhere is left to the scalar path.
+# the point at infinity both give Z = 0, which every later step keeps.  The
+# giant chain tells the two apart where that is safe; every other lane with
+# Z = 0 anywhere is left to the scalar path.
 
 
 def _sub(u, v, p):
@@ -386,6 +390,25 @@ def _sub(u, v, p):
     r - p wraps past 2**64, so the smaller of the two is the residue."""
     r = u + p - v
     return np.minimum(r, r - p)
+
+
+def _lane_pow(u, e, p):
+    """u**e mod p per lane, right to left, for exponents below 2**32."""
+    r = np.ones_like(u)
+    for bit in range(int(e.max()).bit_length()):
+        r = np.where((e >> bit) & 1 == 1, r * u % p, r)
+        u = u * u % p
+    return r
+
+
+def _lane_residues(A, p):
+    """A mod p per lane for any integer A, by Horner's rule on the 32-bit
+    limbs of |A|: r * 2**32 + limb stays below p * 2**32 <= 2**64."""
+    r = np.zeros_like(p)
+    limbs = abs(A).to_bytes(-(-abs(A).bit_length() // 32) * 4, "big")
+    for k in range(0, len(limbs), 4):
+        r = ((r << 32) | int.from_bytes(limbs[k : k + 4], "big")) % p
+    return np.where(r == 0, r, p - r) if A < 0 else r
 
 
 def _jdbl(X, Y, Z, a, p):
@@ -401,7 +424,11 @@ def _jdbl(X, Y, Z, a, p):
 
 
 def _jmadd(X, Y, Z, x, y, p):
-    """(X : Y : Z) + (x, y), the second point affine."""
+    """(X : Y : Z) + (x, y), the second point affine.
+
+    With Z != 0 the result has Z3 = Z * H, so Z3 = 0 exactly when both
+    points share x.  Then X3 = R^2: nonzero when the y differ (the sum is
+    at infinity), zero when the points are equal (the doubling case)."""
     ZZ = Z * Z % p
     H = _sub(x * ZZ % p, X, p)
     R = _sub(y * (ZZ * Z % p) % p, Y, p)
@@ -414,8 +441,8 @@ def _jmadd(X, Y, Z, x, y, p):
 
 
 def _jmul(k, x, y, a, p):
-    """k*(x, y) per lane for int64 scalars k >= 1, left to right."""
-    top = np.array([int(v).bit_length() - 1 for v in k])
+    """k*(x, y) per lane for int64 scalars 1 <= k < 2**53, left to right."""
+    top = np.frexp(k.astype(np.float64))[1] - 1  # exact: k is a float64 integer
     X, Y, Z = x, y, np.ones_like(x)
     for bit in range(int(top.max()) - 1, -1, -1):
         D = _jdbl(X, Y, Z, a, p)
@@ -426,82 +453,123 @@ def _jmul(k, x, y, a, p):
     return X, Y, Z
 
 
-def _to_affine(X, Y, Z, p):
-    """Affine x and y of Jacobian points stacked along axis 0, with one
-    inversion per lane (Montgomery's trick), and the lanes whose every Z
-    is nonzero; the other lanes' coordinates are meaningless."""
+def _to_affine(P, p):
+    """Turn the Jacobian points stacked along axis 1 of P = (X, Y, Z) into
+    affine x and y in place, with one inversion per lane (Montgomery's
+    trick, the inverse by Fermat), and return the lanes whose every Z is
+    nonzero; the other lanes' coordinates are meaningless.  Z is
+    overwritten."""
+    X, Y, Z = P
     inv_z = np.empty_like(Z)
     acc = inv_z[0] = Z[0]
     for t in range(1, len(Z)):
         acc = inv_z[t] = acc * Z[t] % p
     ok = acc != 0
-    inv = np.array([pow(z, -1, q) if z else 0 for z, q in zip(acc.tolist(), p.tolist())],
-                   dtype=np.uint64)
+    inv = _lane_pow(acc, p - 2, p)
     for t in range(len(Z) - 1, 0, -1):
         inv, inv_z[t] = inv * Z[t] % p, inv * inv_z[t - 1] % p
     inv_z[0] = inv
-    zz = inv_z * inv_z % p
-    return X * zz % p, Y * (zz * inv_z % p) % p, ok
+    np.multiply(inv_z, inv_z, out=Z)
+    Z %= p
+    X *= Z
+    X %= p
+    Z *= inv_z
+    Z %= p
+    Y *= Z
+    Y %= p
+    return ok
+
+
+def _baby_rows(p):
+    """m + 1, the rows of the baby table _lane_orders builds for primes up to p."""
+    return isqrt(isqrt(4 * p)) + 2
 
 
 def _lane_orders(ps, As, xs, ys):
-    """The scalar path's first window scan for a slice of primes at once.
+    """Baby-step giant-step over the Hasse window for a slice of primes at once.
 
     Lane i is the curve with coefficient As[i] over F_ps[i] and the point
     P = (xs[i], ys[i]), ys[i] != 0.  Babies are j*P for 1 <= j <= m;
-    giants are c*P for c = lo + m + i*(2m + 1), so each giant's x meets
-    the baby at every offset in [-m, m] but 0, and the y signs say which.
-    With ord(P) > 2m + 1 the babies' x are distinct and each match is one
-    annihilator of P; the window's multiples of ord(P) are all among them.
-    Returns per lane that multiple when it is unique, else 0, and the
-    count of lanes by the reason they were not settled.
+    giants are k*P for k = c0 + i*(2m + 1), c0 = lo + m, so each giant's x
+    meets the baby at every offset in [-m, m] but 0, and the y signs say
+    which.  A giant exactly at infinity is the offset-0 hit: its k is an
+    annihilator, and since k*P = O the chain goes on at S = (2m + 1)P and
+    2S.  Only a sum whose points share x and y differ is read so (H = 0,
+    R != 0 in _jmadd); the doubling case, and a c0*P at infinity out of
+    _jmul, may hide a degenerate step and leave the lane to the scalar
+    path.  With ord(P) > 2m + 1 the babies' x are distinct and each match
+    is one annihilator of P; the window's multiples of ord(P) are all
+    among them.  Returns per lane that multiple when it is unique, else 0,
+    and counts: lanes not settled by reason, and lanes settled by a giant
+    at infinity (lanes_at_infinity).
     """
-    n = len(ps)
-    t = [isqrt(4 * q) for q in ps]
-    lo = np.array([q + 1 - s for q, s in zip(ps, t)], dtype=np.int64)
-    hi = lo + 2 * np.array(t, dtype=np.int64)
-    width = 2 * max(t) + 1
-    m = isqrt(width // 2) + 1
+    p, a, x, y = (np.asarray(v, dtype=np.uint64) for v in (ps, As, xs, ys))
+    n = len(p)
+    t = np.sqrt(4 * p.astype(np.float64)).astype(np.int64)  # isqrt(4p), exact below 2**52
+    lo = p.astype(np.int64) + 1 - t
+    hi = lo + 2 * t
+    width = 2 * int(t.max()) + 1
+    m = _baby_rows(int(p.max())) - 1
     stride = 2 * m + 1
-    p, a, x, y = (np.array(v, dtype=np.uint64) for v in (ps, As, xs, ys))
 
-    # rows j < m hold (j + 1)P, row m the giant stride (2m + 1)P
+    # rows j < m hold (j + 1)P, row m the giant stride S = (2m + 1)P
     B = np.empty((3, m + 1, n), dtype=np.uint64)
     B[0, 0], B[1, 0], B[2, 0] = x, y, 1
     B[:, 1] = _jdbl(x, y, B[2, 0], a, p)
     for j in range(2, m):
         B[:, j] = _jmadd(*B[:, j - 1], x, y, p)
     B[:, m] = _jmadd(*_jdbl(*B[:, m - 1], a, p), x, y, p)
-    bx, by, b_ok = _to_affine(*B, p)
-    del B
-    small = ~b_ok  # some Z = 0: ord(P) <= 2m + 1
-    sx, sy = bx[m].copy(), by[m].copy()
+    small = ~_to_affine(B, p)  # some Z = 0: ord(P) <= 2m + 1
+    S = np.stack([B[0, m], B[1, m], np.ones_like(p)])
+    by = B[1].copy()
 
     # baby keys (lane, x, j) in bits 48.., 16..47 and 0..15, sorted
     lane = np.arange(n, dtype=np.uint64)
-    row = np.arange(1, m + 1, dtype=np.uint64)[:, None]
-    bkey = np.sort(((((lane << 32) | bx[:m]) << 16) | row).ravel())
-    del bx
+    bkey = (lane << 32) | B[0, :m]
+    del B
+    bkey <<= 16
+    bkey |= np.arange(1, m + 1, dtype=np.uint64)[:, None]
+    bkey = bkey.ravel()
+    bkey.sort()
     twice = (bkey[1:] >> 16) == (bkey[:-1] >> 16)  # two babies on one x: ord(P) <= 2m
     small[(bkey[1:][twice] >> 48).astype(np.intp)] = True
 
     c0 = lo + m
     G = np.empty((3, -(-width // stride), n), dtype=np.uint64)
     G[:, 0] = _jmul(c0, x, y, a, p)
+    inf = np.zeros(G.shape[1:], dtype=bool)  # giants exactly at infinity
+    restart = ((1, S), (2, np.stack(_jdbl(*S, a, p))))
     for i in range(1, G.shape[1]):
-        G[:, i] = _jmadd(*G[:, i - 1], sx, sy, p)
-    gx, gy, g_ok = _to_affine(*G, p)
-    del G
+        G[:, i] = _jmadd(*G[:, i - 1], *S[:2], p)
+        for back, T in restart[:i]:
+            if inf[i - back].any():
+                G[:, i, inf[i - back]] = T[:, inf[i - back]]
+        inf[i] = (G[2, i] == 0) & (G[0, i] != 0) & (G[2, i - 1] != 0)
+    G[2][inf] = 1  # keeps the lane's batch inversion; the slot's x is unused
+    g_ok = _to_affine(G, p)
 
-    # a giant (lane, x) meets the first baby key at or above it
-    gkey = (((lane << 32) | gx) << 16).ravel()
-    del gx
-    pos = np.minimum(np.searchsorted(bkey, gkey), len(bkey) - 1)
-    hit = np.flatnonzero((bkey[pos] >> 16) == (gkey >> 16))
+    # a giant key (lane, x, 0) meets the first baby key at or above it; the
+    # keys go in G[2], free after _to_affine
+    gkey = G[2].ravel()
+    np.bitwise_or(lane << 32, G[0], out=G[2])
+    gkey <<= 16
+    pos = np.searchsorted(bkey, gkey)
+    np.minimum(pos, len(bkey) - 1, out=pos)
+    near = bkey[pos]
+    near &= ~np.uint64(0xFFFF)
+    hit = np.flatnonzero((near == gkey) & ~inf.ravel())
+    del near
     li = hit % n
     j = (bkey[pos[hit]] & 0xFFFF).astype(np.int64)
-    same = gy.ravel()[hit] == by.ravel()[(j - 1) * n + li]
+    same = G[1].ravel()[hit] == by.ravel()[(j - 1) * n + li]
     k = c0[li] + (hit // n) * stride + np.where(same, -j, j)
+    # a giant at infinity is its own annihilator; k > c0 > lo
+    gi, gl = np.nonzero(inf)
+    k_inf = c0[gl] + gi * stride
+    at_inf = np.zeros(n, dtype=bool)
+    at_inf[gl[k_inf <= hi[gl]]] = True
+    li = np.concatenate([li, gl])
+    k = np.concatenate([k, k_inf])
     keep = (k >= lo[li]) & (k <= hi[li])
     found = np.sort((li[keep].astype(np.int64) << 34) | k[keep])
     found = found[np.diff(found, prepend=-1) != 0]
@@ -512,57 +580,74 @@ def _lane_orders(ps, As, xs, ys):
     degenerate = ~small & ~g_ok
     scanned = ~small & g_ok
     if (scanned & (count == 0)).any():
-        lost = ps[int(np.argmax(scanned & (count == 0)))]
+        lost = p[int(np.argmax(scanned & (count == 0)))]
         raise AssertionError(f"lane scan lost the group order over F_{lost}")
     several = scanned & (count > 1)
     orders[~scanned | several] = 0
-    return orders.tolist(), {"scalar_small_order": int(small.sum()),
-                             "scalar_degenerate": int(degenerate.sum()),
-                             "scalar_multiples": int(several.sum())}
+    return orders, {"scalar_small_order": int(small.sum()),
+                    "scalar_degenerate": int(degenerate.sum()),
+                    "scalar_multiples": int(several.sum()),
+                    "lanes_at_infinity": int((at_inf & (orders > 0)).sum())}
 
 
 def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     """group_order of y^2 = x^3 + Ax + B at each prime, all of good reduction.
 
-    Primes in [2**10, 2**32) take the scalar path's first sampled point
-    and run its window scan together, a slice of up to _LANES primes at a
-    time in numpy lanes.  A lane settles by the scalar rule: exactly one
-    multiple of the point's order in the Hasse window.  Every other prime,
-    and all of them when fewer than _MIN_LANES would share the lanes, goes
-    to group_order.  stats, a Counter when given, receives the number of
-    orders settled in lanes (orders_batched) and left to group_order
-    (orders_scalar), and the latter by reason: p outside the lane range
-    (scalar_p_range), a point of order 2 (scalar_y_zero), too few lane
-    primes (scalar_small_batch), a point of order at most 2m + 1
-    (scalar_small_order), a giant at infinity or a degenerate step
+    Primes in [2**10, 2**32) run baby-step giant-step together in numpy
+    lanes, in slices of equal size holding up to _BABY_ENTRIES baby-table
+    entries (_baby_rows per lane, set by the largest prime): about 1.6k
+    lanes at p ~ 2*10**5, 135 near 2**32.  No lane takes a square root.
+    Each draws x0 from the splitmix64 stream of (p, a, b), again while
+    c = x0^3 + a x0 + b is 0, and scans the point (x0 c, c^2) of
+    E_c: y^2 = x^3 + a c^2 x + b c^3, which is E for a square c and the
+    quadratic twist of E otherwise; one powmod c^((p-1)/2) tells which,
+    and a twist's settled order n_c maps back to 2p + 2 - n_c.  A lane
+    settles by the scalar rule: exactly one multiple of the point's order
+    in the Hasse window.  Every other prime, and all of them when fewer
+    than _MIN_LANES would share the lanes, goes to group_order.
+
+    stats, a Counter when given, receives the number of orders settled in
+    lanes (orders_batched), of lanes on the twist (lanes_twisted) and of
+    lanes settled by a giant at infinity (lanes_at_infinity), and the
+    orders left to group_order (orders_scalar) by reason: p outside the
+    lane range (scalar_p_range), too few lane primes
+    (scalar_small_batch), a point of order at most 2m + 1
+    (scalar_small_order), a degenerate step or a c0*P at infinity
     (scalar_degenerate), and several multiples in the window
     (scalar_multiples).
     """
     counts = Counter()
-    out = [0] * len(primes)
     index = [i for i, p in enumerate(primes) if _EXHAUSTIVE_BELOW <= p < _LANE_LIMIT]
     counts["scalar_p_range"] = len(primes) - len(index)
     if len(index) < _MIN_LANES:
         counts["scalar_small_batch"] = len(index)
         index = []
-    slices = -(-len(index) // _LANES)  # of equal size, at most _LANES
-    for k in range(slices):
-        lanes = []
-        for i in index[k * len(index) // slices : (k + 1) * len(index) // slices]:
-            p = primes[i]
-            a, b = A % p, B % p
-            (x, y), _ = _sample_point(p, a, b, _mix_seed(p, a, b, 1))
-            if y == 0:
-                counts["scalar_y_zero"] += 1
-            else:
-                lanes.append((i, p, a, x, y))
-        if lanes:
-            where, *cols = zip(*lanes)
-            found, why = _lane_orders(*cols)
-            for i, n in zip(where, found):
-                out[i] = n
+    out = [0] * len(primes)
+    if index:
+        p = np.array([primes[i] for i in index], dtype=np.uint64)
+        a, b = _lane_residues(A, p), _lane_residues(B, p)
+        s = _mix_seed(p, a, b, 1)
+        x = np.zeros_like(p)
+        redo = np.ones(len(p), dtype=bool)
+        while redo.any():  # x0^3 + a x0 + b has at most three roots
+            s[redo], z = _next64(s[redo])
+            x[redo] = z % p[redo]
+            c = (x * x % p * x % p + a * x % p + b) % p
+            redo = c == 0
+        cc = c * c % p
+        ac, xc = a * cc % p, x * c % p
+        twisted = _lane_pow(c, (p - 1) >> 1, p) != 1
+        n = np.empty(len(p), dtype=np.int64)
+        slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
+        for k in range(slices):
+            part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
+            n[part], why = _lane_orders(p[part], ac[part], xc[part], cc[part])
             counts.update(why)
-    counts["orders_batched"] = sum(1 for n in out if n)
+        n = np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n)
+        counts["lanes_twisted"] = int(twisted.sum())
+        for i, order in zip(index, n.tolist()):
+            out[i] = order
+    counts["orders_batched"] = sum(1 for order in out if order)
     counts["orders_scalar"] = len(primes) - counts["orders_batched"]
     for i, p in enumerate(primes):
         if not out[i]:
@@ -677,21 +762,24 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None) -> GroupS
 
     n, when given, is the group order computed elsewhere (the census takes
     it from group_orders); otherwise group_order computes it.  Only primes
-    l with l^2 | n and l | p-1 can divide d; each contributes its
-    certified Sylow first invariant.  For l = 2 the discriminant of the
-    cubic decides without sampling when it can.  By Stickelberger a
-    non-square discriminant means exactly one root, so E(F_p)[2] = Z/2 and
-    the 2-Sylow subgroup is cyclic.  A square one with 4 | n means three
-    roots, so 2 | d, and the exponent is 1 when min(v // 2, v_2(p - 1))
-    = 1.  stats, a Counter when given, receives the number of primes whose
+    l with l^2 | n and l | p-1 can divide d, so only gcd(n, p - 1) is
+    factored; each such l contributes its certified Sylow first invariant.
+    For l = 2 the discriminant of the cubic decides without sampling when
+    it can.  By Stickelberger a non-square discriminant means exactly one
+    root, so E(F_p)[2] = Z/2 and the 2-Sylow subgroup is cyclic.  A square
+    one with 4 | n means three roots, so 2 | d, and the exponent is 1 when
+    min(v // 2, v_2(p - 1)) = 1.  stats, a Counter when given, receives the number of primes whose
     2-part the discriminant settled (two_by_discriminant).
     """
     p, a, b = C.p, C.a, C.b
     if n is None:
         n = group_order(C)
     d = 1
-    for l, v in factorize(n):
-        if v < 2 or (p - 1) % l:
+    for l, _ in factorize(gcd(n, p - 1)):
+        v = 1
+        while n % l ** (v + 1) == 0:
+            v += 1
+        if v < 2:
             continue
         if l == 2:
             square = legendre(-(4 * a**3 + 27 * b * b), p) == 1

@@ -378,8 +378,10 @@ def _interval_json(iv: Interval) -> dict:
         "hi_exact": f"{iv.hi.numerator}/{iv.hi.denominator}",
         "lo_decimal": lo,
         "hi_decimal": hi,
+        # 40 digits, like the provenance's delta_width: a truncation at
+        # L <= 2**32 leaves a width of at least 1/L**3 >= 2**-96
         "width_decimal": truncate_decimal(
-            iv.width.numerator, iv.width.denominator, 20
+            iv.width.numerator, iv.width.denominator, 40
         ),
     }
 

@@ -8,6 +8,7 @@ parameters, so repeated runs factor the same integer the same way.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd, isqrt
 
 
@@ -39,16 +40,35 @@ def legendre(a: int, p: int) -> int:
 def sqrt_mod(a: int, p: int) -> int:
     """Square root of a modulo an odd prime p, canonicalized to min(r, p-r).
 
-    Raises NotAResidue when (a|p) = -1.  a = 0 maps to 0.  The p % 4 == 3
-    branch is a single exponentiation; the general case is Tonelli-Shanks
-    seeded with the least quadratic non-residue, so the output never
-    depends on external randomness.
+    Raises NotAResidue when (a|p) = -1.  a = 0 maps to 0.  Otherwise this
+    is sqrt_residue.
     """
     a %= p
     if a == 0:
         return 0
     if legendre(a, p) != 1:
         raise NotAResidue(f"{a} is not a square mod {p}")
+    return sqrt_residue(a, p)
+
+
+@lru_cache(maxsize=64)
+def _least_nonresidue(p: int) -> int:
+    z = 2
+    while legendre(z, p) != -1:
+        z += 1
+    return z
+
+
+def sqrt_residue(a: int, p: int) -> int:
+    """Square root of a non-zero square a, 0 < a < p, modulo an odd prime p,
+    canonicalized to min(r, p-r); a is not checked.
+
+    The p % 4 == 3 branch is a single exponentiation; the general case is
+    Tonelli-Shanks seeded with the least quadratic non-residue, so the
+    output never depends on external randomness.  The non-residue is
+    remembered for the last few primes, since point sampling asks for
+    many roots modulo one prime in a row.
+    """
     if p % 4 == 3:
         r = pow(a, (p + 1) >> 2, p)
         return min(r, p - r)
@@ -58,11 +78,8 @@ def sqrt_mod(a: int, p: int) -> int:
     while q % 2 == 0:
         q >>= 1
         s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
     m = s
-    c = pow(z, q, p)
+    c = pow(_least_nonresidue(p), q, p)
     t = pow(a, q, p)
     r = pow(a, (q + 1) >> 1, p)
     while t != 1:

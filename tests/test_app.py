@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import cyclored.census as census
 import cyclored.cli as cli
+import cyclored.curve as curve
 from cyclored.census import CensusReport
 from cyclored.density import DegreeProfile, build_density_report
 from cyclored.ingest import FixtureMissing, SchemaMismatch, fixture_dir, ingest_degrees
@@ -423,6 +425,30 @@ def test_cli_constants(capsys):
     assert "hi    0.813" in out
     code, _, _ = run_cli(capsys, "constants", "--truncation", "1")
     assert code == 2
+
+
+def test_interval_widths_print_40_digits(capsys, monkeypatch):
+    # A width of 10^-25 would print as twenty zeros with 20 digits.
+    from cyclored.density import Interval, _interval_json
+
+    lo = Fraction(1, 3)
+    iv = Interval(lo, lo + Fraction(1, 10**25))
+    width = "0." + "0" * 24 + "1" + "0" * 15
+    assert _interval_json(iv)["width_decimal"] == width
+    monkeypatch.setattr(cli, "artin_constant", lambda L: iv)
+    code, out, _ = run_cli(capsys, "constants", "--truncation", "100")
+    assert code == 0 and f"  width {width}\n" in out
+
+
+@pytest.mark.parametrize("exc", [curve.IterationCap, curve.BadWitness])
+def test_cli_census_structure_errors_exit_2(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("forced")
+
+    monkeypatch.setattr(census, "group_structure", fail)
+    code, out, err = run_cli(capsys, "census", "--a", "-3", "--b", "1", "--limit", "3000")
+    assert code == 2 and out == ""
+    assert err == "error: group structure: forced\n"
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from conftest import brute_structure
+from cyclored import census
 from cyclored.census import (
     CensusReport,
     CheckpointCorrupt,
@@ -134,8 +135,8 @@ def test_checkpoint_resume_matches_scratch(tmp_path, monkeypatch):
     again = run_census(E1, 5000, checkpoint=ck)
     assert strip_elapsed(again) == strip_elapsed(scratch)
     assert open(ck).read() == before
-    assert again.extra == {"chunks_computed": 0, "chunks_reused": chunks, "orders_batched": 0,
-                           "orders_scalar": 0, "two_by_discriminant": 0}
+    assert again.extra == {"chunks_computed": 0, "chunks_reused": chunks,
+                           **dict.fromkeys(census._RUN_COUNTS, 0)}
 
 
 def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
@@ -267,6 +268,12 @@ def test_workers_agree(tmp_path, monkeypatch):
     assert solo.extra == duo.extra
     assert solo.extra["orders_batched"] + solo.extra["orders_scalar"] == solo.good_primes
     assert solo.extra["orders_batched"] > 0 and solo.extra["two_by_discriminant"] > 0
+    # the report carries group_orders' routes, and each scalar order has one reason
+    reasons = ("scalar_p_range", "scalar_small_batch", "scalar_small_order",
+               "scalar_degenerate", "scalar_multiples")
+    assert sum(solo.extra[k] for k in reasons) == solo.extra["orders_scalar"]
+    assert solo.extra["scalar_p_range"] > 0 and solo.extra["scalar_small_batch"] > 0
+    assert solo.extra["lanes_twisted"] > 0 and "lanes_at_infinity" in solo.extra
 
 
 def test_split_count():

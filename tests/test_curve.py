@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -33,7 +34,7 @@ from cyclored.curve import (
     scalar_mul,
 )
 from cyclored.curve import _order_exhaustive
-from cyclored.modmath import is_prime, legendre, sieve_primes
+from cyclored.modmath import is_prime, legendre, sieve_primes, sqrt_mod
 
 
 def test_singular_models_rejected():
@@ -198,7 +199,9 @@ def test_lane_orders_match_group_order():
     # Every good prime up to 2*10^4 of the registry curves and of seeded
     # random curves, two of them with coefficients above 10^12, and bands
     # just below 2^31 and 2^32, where residue products come closest to
-    # 2^64.  Every route to the scalar path is taken at least once.
+    # 2^64.  Every route to the scalar path is taken at least once, lanes
+    # scan points on the curve and on its twist, and giants at infinity
+    # settle lanes.
     rng = random.Random(11)
     curves = [CurveOverQ(A, B) for A, B in FIVE_CURVES]
     curves += [CurveOverQ(rng.randrange(-999, 1000), rng.randrange(-999, 1000)) for _ in range(2)]
@@ -216,13 +219,95 @@ def test_lane_orders_match_group_order():
         got = group_orders(E.A, E.B, good, routes)
         assert got == [group_order(reduce(E, p)) for p in good], (E, good[0], good[-1])
         assert routes["orders_batched"] + routes["orders_scalar"] == before + len(good)
-    for route in ("scalar_p_range", "scalar_small_batch", "scalar_y_zero",
+    for route in ("scalar_p_range", "scalar_small_batch",
                   "scalar_small_order", "scalar_degenerate", "scalar_multiples"):
         assert routes[route] > 0, route
     # the lanes settle most of the primes they scan
     scanned = routes["orders_batched"] + sum(
         routes[r] for r in ("scalar_small_order", "scalar_degenerate", "scalar_multiples"))
     assert routes["orders_batched"] > 0.85 * scanned
+    assert 0 < routes["lanes_twisted"] < scanned
+    assert 0 < routes["lanes_at_infinity"] < routes["orders_batched"]
+
+
+def test_lane_giant_at_infinity_settles():
+    # Over F_1031 the window is [968, 1096], m = 9 and the giants sit at
+    # 977 + 19i.  y^2 = x^3 + x + 44 has 996 = 977 + 19 points and a point
+    # of order 996, so giant 1 is exactly at infinity, the chain goes on
+    # at S and 2S, and that giant's own scalar is the window's one multiple.
+    p, a, b = 1031, 1, 44
+    C = ReducedCurve(p, a, b)
+    n = group_order(C)
+    P = random_point(C, 1)
+    assert n == 977 + 19 and point_order(P, n, C) == n
+    orders, why = curve._lane_orders((p,), (a,), (P[0],), (P[1],))
+    assert list(orders) == [n]
+    assert why == {"scalar_small_order": 0, "scalar_degenerate": 0, "scalar_multiples": 0,
+                   "lanes_at_infinity": 1}
+
+
+def test_lane_doubling_case_falls_back():
+    # Over F_1033 the window is [970, 1098], m = 9 and the stride is 19.  For
+    # a point of order 24, c0 * P = 979 P = 19 P = S, so the first giant step
+    # adds S to itself: H = 0 and R = 0.  That is not a giant at infinity
+    # (979 + 19 = 998 is no multiple of 24), and the lane goes to the scalar
+    # path.
+    p, a, b = 1033, 1, 2
+    C = ReducedCurve(p, a, b)
+    P = (190, 675)
+    assert point_order(P, group_order(C), C) == 24 and (979 - 19) % 24 == 0
+    orders, why = curve._lane_orders((p,), (a,), (P[0],), (P[1],))
+    assert list(orders) == [0]
+    assert why == {"scalar_small_order": 0, "scalar_degenerate": 1, "scalar_multiples": 0,
+                   "lanes_at_infinity": 0}
+
+
+def test_splitmix64_known_answers():
+    # The reference splitmix64 outputs from state 0, on Python ints and on
+    # the uint64 lanes group_orders draws its points from.
+    want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F, 0xF88BB8A8724C81EC]
+    s, lanes = 0, np.zeros(2, dtype=np.uint64)
+    for z in want:
+        s, got = curve._next64(s)
+        lanes, lane_z = curve._next64(lanes)
+        assert got == z and lane_z.tolist() == [z, z]
+    p = np.array([1031, (1 << 32) - 5], dtype=np.uint64)
+    seeds = curve._mix_seed(p, p - 7, p - 9, 1)
+    assert seeds.tolist() == [curve._mix_seed(q, q - 7, q - 9, 1) for q in p.tolist()]
+
+
+def test_lane_residues_of_large_coefficients():
+    p = np.array([1031, 65537, (1 << 32) - 5], dtype=np.uint64)
+    for A in (0, 1, -1, 10**30 + 7, -(10**30 + 7), -(1 << 64), 3**90):
+        assert curve._lane_residues(A, p).tolist() == [A % q for q in p.tolist()], A
+
+
+def test_sample_point_matches_sqrt_mod_path():
+    # _sample_point roots its squares without sqrt_mod's checks; the points
+    # must be those of the draw-check-root loop with sqrt_mod, bit for bit,
+    # for three successive points at every p = 1 mod 4 below 2*10^4.
+    def via_sqrt_mod(p, a, b, s):
+        while True:
+            s, z = curve._next64(s)
+            x = z % p
+            rhs = (x * x * x + a * x + b) % p
+            if rhs == 0:
+                return (x, 0), s
+            if legendre(rhs, p) == 1:
+                r = sqrt_mod(rhs, p)
+                s, z = curve._next64(s)
+                return ((x, r) if z & 1 == 0 else (x, p - r)), s
+
+    for A, B in FIVE_CURVES:
+        E = CurveOverQ(A, B)
+        for p in sieve_primes(20_000):
+            if p % 4 != 1 or E.delta_E % p == 0:
+                continue
+            s = t = curve._mix_seed(p, A % p, B % p, 1)
+            for _ in range(3):
+                P, s = curve._sample_point(p, A % p, B % p, s)
+                Q, t = via_sqrt_mod(p, A % p, B % p, t)
+                assert P == Q and s == t, (A, B, p)
 
 
 def test_lane_routes_by_point_order():

@@ -8,9 +8,11 @@ and resume later, even when the resumed run asks for a different bound.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import multiprocessing
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -227,6 +229,10 @@ def _load_checkpoint(path: str, a: int, b: int, split_primes) -> dict:
             raise CheckpointCorrupt("chunk record is missing fields")
         if rec["kind"] != "chunk":
             raise CheckpointCorrupt(f"unexpected record kind {rec['kind']!r}")
+        if type(rec["bad"]) is not list or type(rec["split"]) is not dict or any(
+                type(v) is not int  # JSON true and false load as bool, an int subclass
+                for v in [*(rec[k] for k in needed[1:6]), *rec["bad"], *rec["split"].values()]):
+            raise CheckpointCorrupt("chunk record has fields of the wrong type")
         if rec["good"] + len(rec["bad"]) != rec["count"] or rec["cyclic"] > rec["good"]:
             raise CheckpointCorrupt("chunk record counts are inconsistent")
         if sorted(rec["split"].keys()) != want_split:
@@ -252,11 +258,16 @@ def run_census(
 ) -> CensusReport:
     """Classify every prime p <= x and aggregate the counts.
 
-    Checkpointing: with `checkpoint` set, finished chunks are appended to a
-    line-delimited JSON file and reused on the next call, even if that call
-    asks for a different x (chunks are keyed by their prime range, which
-    does not depend on the bound).  A malformed file raises
-    CheckpointCorrupt rather than silently recomputing.
+    One pass walks the chunks in order.  Each takes its saved record or
+    its computed one (from a worker pool when workers > 1), then appends
+    and flushes the record, writes its CSV rows and adds its totals.
+
+    Checkpointing: with `checkpoint` set, records are appended as each
+    chunk finishes, in chunk order, so an interrupted run keeps them, and
+    reused on the next call, even if that call asks for a different x
+    (chunks are keyed by their prime range, which does not depend on the
+    bound).  A malformed file, or a recomputed chunk that disagrees with
+    its record, raises CheckpointCorrupt rather than silently recomputing.
 
     The CSV side outputs need a row for every prime, so requesting either
     one disables chunk reuse for that run (the checkpoint file is still
@@ -272,104 +283,65 @@ def run_census(
     chunks = [primes[i : i + CHUNK_SIZE] for i in range(0, len(primes), CHUNK_SIZE)]
 
     want_rows = per_prime_csv is not None or fraction_csv is not None
+    fresh = checkpoint is not None and not os.path.exists(checkpoint)
     saved: dict[tuple[int, int, int], dict] = {}
-    ck_fh = None
-    if checkpoint is not None:
-        import os
+    if checkpoint is not None and not fresh:
+        saved = _load_checkpoint(checkpoint, curve.A, curve.B, split_primes)
+    keys = [(chunk[0], chunk[-1], len(chunk)) for chunk in chunks]
+    todo = [(curve, chunk, split_primes, want_rows)
+            for chunk, key in zip(chunks, keys) if want_rows or key not in saved]
 
-        if os.path.exists(checkpoint):
-            saved = _load_checkpoint(checkpoint, curve.A, curve.B, split_primes)
+    bad_all: list[int] = []
+    counts = Counter()
+    cyclic = 0
+    seen = 0
+    split_totals = {l: 0 for l in split_primes}
+    with contextlib.ExitStack() as stack:
+        ck_fh = pp_writer = fr_writer = None
+        if checkpoint is not None:
+            ck_fh = stack.enter_context(open(checkpoint, "a"))
+            if fresh:
+                header = {"kind": "header", "version": _CHECKPOINT_VERSION,
+                          "a": curve.A, "b": curve.B}
+                ck_fh.write(json.dumps(header, sort_keys=True) + "\n")
+                ck_fh.flush()
+        if per_prime_csv is not None:
+            pp_writer = csv.writer(stack.enter_context(open(per_prime_csv, "w", newline="")))
+            pp_writer.writerow(["p", "status", "obstruction_primes"])
+        if fraction_csv is not None:
+            fr_writer = csv.writer(stack.enter_context(open(fraction_csv, "w", newline="")))
+            fr_writer.writerow(["p", "primes_seen", "cyclic_seen", "running_fraction"])
+        if workers > 1 and len(todo) > 1:
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            results = pool.imap(_classify_chunk, todo)
         else:
-            with open(checkpoint, "w") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "kind": "header",
-                            "version": _CHECKPOINT_VERSION,
-                            "a": curve.A,
-                            "b": curve.B,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-        ck_fh = open(checkpoint, "a")
+            results = map(_classify_chunk, todo)
 
-    pp_writer = pp_fh = None
-    fr_writer = fr_fh = None
-    if per_prime_csv is not None:
-        pp_fh = open(per_prime_csv, "w", newline="")
-        pp_writer = csv.writer(pp_fh)
-        pp_writer.writerow(["p", "status", "obstruction_primes"])
-    if fraction_csv is not None:
-        fr_fh = open(fraction_csv, "w", newline="")
-        fr_writer = csv.writer(fr_fh)
-        fr_writer.writerow(["p", "primes_seen", "cyclic_seen", "running_fraction"])
-
-    tasks = []
-    reused: dict[int, dict] = {}
-    for i, chunk in enumerate(chunks):
-        key = (chunk[0], chunk[-1], len(chunk))
-        if not want_rows and key in saved:
-            reused[i] = saved[key]
-        else:
-            tasks.append((i, (curve, chunk, split_primes, want_rows)))
-
-    computed: dict[int, tuple[dict, list | None, Counter]] = {}
-    try:
-        if workers > 1 and len(tasks) > 1:
-            with multiprocessing.Pool(workers) as pool:
-                for (i, _), out in zip(
-                    tasks, pool.imap(_classify_chunk, [t for _, t in tasks])
-                ):
-                    computed[i] = out
-        else:
-            for i, t in tasks:
-                computed[i] = _classify_chunk(t)
-
-        bad_all: list[int] = []
-        counts = Counter()
-        cyclic = 0
-        seen = 0
-        split_totals = {l: 0 for l in split_primes}
-        for i in range(len(chunks)):
-            if i in reused:
-                rec, rows = reused[i], None
-            else:
-                rec, rows, chunk_counts = computed[i]
-                counts.update(chunk_counts)
-                key = (rec["first"], rec["last"], rec["count"])
-                if ck_fh is not None and saved.get(key) != rec:
-                    if key in saved:
-                        raise CheckpointCorrupt(
-                            f"recomputed chunk {key} disagrees with checkpoint"
-                        )
-                    ck_fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for key in keys:
+            rec, rows = saved.get(key), None
+            if want_rows or rec is None:
+                new, rows, chunk_counts = next(results)
+                if rec is not None and rec != new:
+                    raise CheckpointCorrupt(f"recomputed chunk {key} disagrees with checkpoint")
+                if rec is None and ck_fh is not None:
+                    ck_fh.write(json.dumps(new, sort_keys=True) + "\n")
                     ck_fh.flush()
+                rec = new
+                counts.update(chunk_counts)
             bad_all.extend(rec["bad"])
             for l in split_primes:
                 split_totals[l] += rec["split"][str(l)]
-            if rows is not None:
-                for p, status, obst in rows:
-                    seen += 1
-                    if status == "cyclic":
-                        cyclic += 1
-                    if pp_writer is not None:
-                        pp_writer.writerow([p, status, ";".join(map(str, obst))])
-                    if fr_writer is not None:
-                        fr_writer.writerow(
-                            [p, seen, cyclic, f"{cyclic / seen:.6f}"]
-                        )
-            else:
+            if rows is None:
                 seen += rec["count"]
                 cyclic += rec["cyclic"]
-    finally:
-        if ck_fh is not None:
-            ck_fh.close()
-        if pp_fh is not None:
-            pp_fh.close()
-        if fr_fh is not None:
-            fr_fh.close()
+                continue
+            for p, status, obst in rows:
+                seen += 1
+                cyclic += status == "cyclic"
+                if pp_writer is not None:
+                    pp_writer.writerow([p, status, ";".join(map(str, obst))])
+                if fr_writer is not None:
+                    fr_writer.writerow([p, seen, cyclic, f"{cyclic / seen:.6f}"])
 
     elapsed = time.monotonic() - start
     return CensusReport(
@@ -383,8 +355,8 @@ def run_census(
         elapsed_seconds=elapsed,
         label=label,
         extra={
-            "chunks_computed": len(computed),
-            "chunks_reused": len(reused),
+            "chunks_computed": len(todo),
+            "chunks_reused": len(chunks) - len(todo),
             **{k: counts[k] for k in _RUN_COUNTS},
         },
     )

@@ -7,19 +7,19 @@ cyclic when d = 1.  Everything downstream (the census, the split counts)
 sits on top of `group_order`, `group_orders` and `group_structure`.
 
 `group_order` handles one prime: exhaustive quadratic-residue counting
-below 2**10, and baby-step giant-step over the Hasse window above it,
-refining the lcm of sampled point orders until a unique candidate
-survives, with a quadratic-twist pass as the tie breaker.  The census
-asks `group_orders` for a chunk of primes at once: it runs baby-step
-giant-step for a slice of primes together in numpy uint64 lanes
-(Jacobian coordinates, one inversion per lane), slices sized by their
-baby tables, and hands every prime the lanes do not settle to
-`group_order`, the only fallback.  A lane needs no square root: for
-c = f(x0) it scans the point (x0 c, c^2) of y^2 = x^3 + a c^2 x + b c^3,
-which is the curve or its quadratic twist as c is a square or not, and
-maps a twist's order n back to 2p + 2 - n.  A giant step that lands
-exactly on infinity yields its own scalar as an annihilator and the
-chain goes on in place.
+below 2**10, and baby-step giant-step over the Hasse window above it, in
+one loop that samples points on the curve and on its quadratic twist and
+keeps one lcm of point orders for each side until a unique candidate
+survives.  The census asks `group_orders` for a chunk of primes at once:
+it runs baby-step giant-step for a slice of primes together in numpy
+uint64 lanes (Jacobian coordinates, one inversion per lane), slices
+sized by their baby tables, and hands every prime the lanes do not
+settle to `group_order`, the only fallback.  Neither needs a square
+root: for c = f(x0) they scan the point (x0 c, c^2) of
+y^2 = x^3 + a c^2 x + b c^3, which is the curve or its quadratic twist
+as c is a square or not, and map a twist's order n back to 2p + 2 - n.
+A lane's giant step that lands exactly on infinity yields its own
+scalar as an annihilator and the chain goes on in place.
 
 Structure determination never touches pairings: the first invariant
 factor is certified per prime l by either a point whose l-part has full
@@ -28,9 +28,10 @@ independence decided by enumerating the <= l multiples of one of them.
 For l = 2 the discriminant of the cubic decides first where it can.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
-mix of (p, a, b) drives the x-candidates and the y-sign choice (the
-lanes draw x0 from the same stream in uint64), so runs are
-bit-reproducible regardless of how work is partitioned.
+mix of (p, a, b) and a tag drives the x-candidates and the y-sign choice
+(the lanes draw x0 from the tag-1 stream in uint64, group_order from the
+tag-2 one, so a prime the lanes leave open starts on a new point), so
+runs are bit-reproducible regardless of how work is partitioned.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ INFINITY = None
 
 _M64 = (1 << 64) - 1
 _EXHAUSTIVE_BELOW = 1 << 10
-_SAMPLE_BUDGET = 8          # points per order-finding pass before twisting
+_SAMPLE_BUDGET = 16         # points on the curve and its twist before IterationCap
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
@@ -312,65 +313,49 @@ def _window_annihilators(P, p, a, lo, hi):
     return out
 
 
-def _order_via_sampling(p, a, b, tag):
-    """(N, L, state): N = 0 means still ambiguous after the point budget."""
-    t = isqrt(4 * p)
-    lo, hi = p + 1 - t, p + 1 + t
-    s = _mix_seed(p, a, b, tag)
-    L = 1
-    for _ in range(_SAMPLE_BUDGET):
-        P, s = _sample_point(p, a, b, s)
-        anni = _window_annihilators(P, p, a, lo, hi)
-        if len(anni) == 1:
-            return anni[0], L, s
-        n = anni[1] - anni[0]  # consecutive window multiples differ by ord(P)
-        L = L * n // gcd(L, n)
-        first = ((lo + L - 1) // L) * L
-        if first + L > hi:
-            return first, L, s
-    return 0, L, s
-
-
 def group_order(C: ReducedCurve) -> int:
     """Number of points on C including infinity; always exact.
 
-    Below 2**10 the count is exhaustive.  Above, sampled point orders are
-    combined until a unique Hasse-window multiple survives; if eight
-    points do not settle it, the quadratic twist (orders summing to
-    2p + 2) breaks the tie.  This is the single-prime path: group_orders
-    runs the first point's scan for many primes at once in numpy lanes
-    and calls this function for every prime the lanes leave open, and
-    the tests take it as the lanes' reference.
+    Below 2**10 the count is exhaustive.  Above, one loop samples points
+    as the lanes of group_orders do, on C or on its quadratic twist
+    (whose order is 2p + 2 - n), from the tag-2 stream.  A unique
+    multiple of a point's order in the Hasse window settles n; else n is
+    the one window value k, if one is left, with L_E | k and
+    L_T | 2p + 2 - k, the lcms of the point orders found on each side.
+    By Mestre's theorem one side has a point of unique multiple for
+    p > 457.  This is the single-prime path: group_orders calls it for
+    every prime its lanes leave open, and the tests take it as the
+    lanes' reference.
     """
     p, a, b = C.p, C.a, C.b
     if p < _EXHAUSTIVE_BELOW:
         return _order_exhaustive(p, a, b)
-    N, L, _ = _order_via_sampling(p, a, b, tag=1)
-    if N:
-        return N
-    # quadratic twist by the least non-residue c: y^2 = x^3 + a c^2 x + b c^3
-    e2 = (p - 1) >> 1
-    c = 2
-    while pow(c, e2, p) == 1:
-        c += 1
-    a2, b2 = a * c * c % p, b * c * c % p * c % p
     t = isqrt(4 * p)
     lo, hi = p + 1 - t, p + 1 + t
-    s = _mix_seed(p, a2, b2, 3)
     total = 2 * p + 2
-    first = ((lo + L - 1) // L) * L
-    L2 = 1
+    e2 = (p - 1) >> 1
+    s = _mix_seed(p, a, b, 2)
+    L = [1, 1]  # lcm of the point orders found on C and on its twist
     for _ in range(_SAMPLE_BUDGET):
-        P, s = _sample_point(p, a2, b2, s)
-        anni = _window_annihilators(P, p, a2, lo, hi)
+        c = 0
+        while c == 0:  # x0^3 + a x0 + b has at most three roots
+            s, z = _next64(s)
+            x = z % p
+            c = (x * x % p * x + a * x + b) % p
+        cc = c * c % p
+        twisted = pow(c, e2, p) != 1
+        anni = _window_annihilators((x * c % p, cc), p, a * cc % p, lo, hi)
         if len(anni) == 1:
-            return total - anni[0]
-        n = anni[1] - anni[0]
-        L2 = L2 * n // gcd(L2, n)
-        cands = [k for k in range(first, hi + 1, L) if (total - k) % L2 == 0]
+            return total - anni[0] if twisted else anni[0]
+        n = anni[1] - anni[0]  # consecutive window multiples differ by ord(P)
+        L[twisted] = L[twisted] * n // gcd(L[twisted], n)
+        # walk the window by the larger lcm, test the other
+        step, r = max((L[0], 0), (L[1], total % L[1]))
+        cands = [k for k in range(lo + (r - lo) % step, hi + 1, step)
+                 if k % L[0] == 0 and (total - k) % L[1] == 0]
         if len(cands) == 1:
             return cands[0]
-    raise IterationCap(f"group order over F_{p} unresolved after twist pass")
+    raise IterationCap(f"group order over F_{p} unresolved after {_SAMPLE_BUDGET} points")
 
 
 # ---------------------------------------------------------------------------
@@ -679,20 +664,24 @@ def point_order(P, N: int, C: ReducedCurve) -> int:
 # group structure
 
 
-def _sylow_point(p, a, b, cof, l, s):
+def _l_height(T, l, v, p, a):
+    """The least j <= v with l^j T = O; as l^v kills the l-Sylow subgroup,
+    no such j proves the group order that T came from wrong."""
+    for j in range(v + 1):
+        if T is None:
+            return j
+        T = _mul_raw(l, T, p, a)
+    raise BadWitness(f"a point outside the l={l} Sylow subgroup over F_{p}: wrong group order")
+
+
+def _sylow_point(p, a, b, cof, l, v, s):
     """Sample a point, project into the l-Sylow part, return (point, j, state).
 
-    j is the exact l-valuation of the projected point's order, found by
-    repeated multiplication by l.
+    j is the exact l-valuation of the projected point's order.
     """
     R, s = _sample_point(p, a, b, s)
     S = _mul_raw(cof, R, p, a)
-    j = 0
-    T = S
-    while T is not None:
-        T = _mul_raw(l, T, p, a)
-        j += 1
-    return S, j, s
+    return S, _l_height(S, l, v, p, a), s
 
 
 def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
@@ -718,7 +707,7 @@ def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
     best = None
     bestj = 0
     for _ in range(budget):
-        S, j, s = _sylow_point(p, a, b, cof, l, s)
+        S, j, s = _sylow_point(p, a, b, cof, l, v, s)
         if j > bestj:
             best, bestj = S, j
         a0 = v - bestj
@@ -749,11 +738,7 @@ def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
                 break
             W = _mul_raw(c * l ** (bestj - jt), best, p, a)
             T = _add_raw(T, (W[0], (p - W[1]) % p), p, a)
-            jt = 0
-            U = T
-            while U is not None:
-                U = _mul_raw(l, U, p, a)
-                jt += 1
+            jt = _l_height(T, l, v, p, a)
     raise IterationCap(f"l={l} structure unresolved for p={p} within budget")
 
 

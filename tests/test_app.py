@@ -180,6 +180,16 @@ def test_cli_census_io_errors(capsys, tmp_path):
                            "--limit", "500", "--checkpoint", str(ck))
     assert code == 4 and "checkpoint" in err
 
+    # a chunk record whose fields are present but of the wrong type
+    header = {"kind": "header", "version": 1, "a": -3, "b": 1}
+    for bad, split in ((5, {}), ([], [])):
+        chunk = {"kind": "chunk", "first": 2, "last": 3, "count": 2, "good": 0,
+                 "cyclic": 0, "bad": bad, "split": split}
+        ck.write_text(json.dumps(header) + "\n" + json.dumps(chunk) + "\n")
+        code, _, err = run_cli(capsys, "census", "--label", "serre-ex1",
+                               "--limit", "500", "--checkpoint", str(ck))
+        assert code == 4 and "checkpoint" in err and "Traceback" not in err
+
 
 def test_cli_census_expected_value_gate(capsys, monkeypatch):
     # expectations only apply at the reference limit; fake a tiny one

@@ -199,6 +199,41 @@ def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
     with pytest.raises(CheckpointCorrupt):
         run_census(E1, 1500, checkpoint=ck)
 
+    # records whose fields have the wrong types
+    for field, value in (("bad", 5), ("bad", ["2"]), ("split", []), ("split", {"2": "1"}),
+                         ("cyclic", "3"), ("first", 2.0), ("count", True), ("good", None)):
+        rec = dict(json.loads(good_lines[1]))
+        rec[field] = value
+        rewrite([good_lines[0], json.dumps(rec)] + good_lines[2:])
+        with pytest.raises(CheckpointCorrupt):
+            run_census(E1, 1500, checkpoint=ck)
+
+
+def test_interrupted_census_keeps_finished_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr("cyclored.census.CHUNK_SIZE", 64)
+    ck = str(tmp_path / "ck.jsonl")
+    classify = census._classify_chunk
+    k = 3
+    done = []
+
+    def interrupted(args):
+        if len(done) == k:
+            raise KeyboardInterrupt
+        done.append(args)
+        return classify(args)
+
+    monkeypatch.setattr(census, "_classify_chunk", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_census(E1, 2500, checkpoint=ck)
+    lines = open(ck).read().splitlines()
+    assert json.loads(lines[0])["kind"] == "header"
+    assert [json.loads(line)["kind"] for line in lines[1:]] == ["chunk"] * k
+
+    monkeypatch.setattr(census, "_classify_chunk", classify)
+    resumed = run_census(E1, 2500, checkpoint=ck)
+    assert resumed.extra["chunks_reused"] == k
+    assert strip_elapsed(resumed) == strip_elapsed(run_census(E1, 2500))
+
 
 def test_checkpoint_detects_silent_edit_on_recompute(tmp_path, monkeypatch):
     monkeypatch.setattr("cyclored.census.CHUNK_SIZE", 64)

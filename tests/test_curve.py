@@ -148,22 +148,32 @@ def _good_reductions_above_exhaustive_cutoff():
                 yield (A, B), reduce(E, p)
 
 
-def test_twist_pass_matches_exhaustive(monkeypatch):
-    # Two points per pass leave many orders ambiguous, so the quadratic
-    # twist pass (sampling stream tag 3) decides them.
-    monkeypatch.setattr(curve, "_SAMPLE_BUDGET", 2)
-    mix_seed = curve._mix_seed
-    twists = []
+def test_group_order_samples_curve_and_twist(monkeypatch):
+    # group_order's one loop scans points on the curve and on its
+    # quadratic twist.  The oracle tells the sides apart: a scanned point
+    # whose order does not divide the exhaustive n lies on the twist, one
+    # whose order does not divide the twist's 2p + 2 - n on the curve.
+    # Some orders are settled by both sides' lcms together: the last scan
+    # left several multiples, after points on both sides.
+    window = curve._window_annihilators
+    scans = []
 
-    def counting_mix_seed(p, a, b, tag):
-        if tag == 3:
-            twists.append(p)
-        return mix_seed(p, a, b, tag)
+    def recording_window(P, p, a, lo, hi):
+        scans.append((P, a, window(P, p, a, lo, hi)))
+        return scans[-1][2]
 
-    monkeypatch.setattr(curve, "_mix_seed", counting_mix_seed)
+    monkeypatch.setattr(curve, "_window_annihilators", recording_window)
+    both = jointly = 0
     for AB, C in _good_reductions_above_exhaustive_cutoff():
-        assert group_order(C) == _order_exhaustive(C.p, C.a, C.b), (AB, C.p)
-    assert len(twists) >= 20
+        scans.clear()
+        n = _order_exhaustive(C.p, C.a, C.b)
+        assert group_order(C) == n, (AB, C.p)
+        sides = {side for P, a, _ in scans
+                 for side, m in (("twist", n), ("curve", 2 * C.p + 2 - n))
+                 if curve._mul_raw(m, P, C.p, a) is not None}
+        both += len(sides) == 2
+        jointly += len(sides) == 2 and len(scans[-1][2]) > 1
+    assert both >= 20 and jointly >= 5
 
 
 def test_sylow_certifier_matches_torsion_counts():
@@ -386,6 +396,15 @@ def test_point_order():
     with pytest.raises(BadWitness):
         P = random_point(C, 0)
         point_order(P, N + 1, C)  # N+1 does not annihilate this group
+
+
+def test_group_structure_rejects_a_wrong_order():
+    # 1134 is the twist's order; the curve has 1102 points, none of order
+    # 3, so no sampled point projects into a 3-Sylow subgroup of order 81
+    C = ReducedCurve(1117, 1, 3)
+    assert group_order(C) == 1102 and 2 * 1117 + 2 - 1102 == 1134
+    with pytest.raises(BadWitness):
+        group_structure(C, 1134)
 
 
 def test_group_structure_matches_brute_force():

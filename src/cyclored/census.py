@@ -13,6 +13,7 @@ import csv
 import json
 import multiprocessing
 import os
+import signal
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ DEFAULT_SPLIT_PRIMES = (2, 3, 5, 7)
 _CHECKPOINT_VERSION = 1
 # curve.group_orders' and curve.group_structure's counters that
 # CensusReport.extra carries; the scalar_* reasons sum to orders_scalar
-_RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range", "scalar_small_batch",
+_RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range",
                "scalar_small_order", "scalar_degenerate", "scalar_multiples",
                "lanes_twisted", "lanes_at_infinity", "two_by_discriminant")
 
@@ -245,6 +246,11 @@ def _load_checkpoint(path: str, a: int, b: int, split_primes) -> dict:
     return records
 
 
+def _ignore_sigint():
+    """Pool initializer: SIGINT interrupts the parent, which ends the pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def run_census(
     curve: CurveOverQ,
     x: int,
@@ -312,7 +318,7 @@ def run_census(
             fr_writer = csv.writer(stack.enter_context(open(fraction_csv, "w", newline="")))
             fr_writer.writerow(["p", "primes_seen", "cyclic_seen", "running_fraction"])
         if workers > 1 and len(todo) > 1:
-            pool = stack.enter_context(multiprocessing.Pool(workers))
+            pool = stack.enter_context(multiprocessing.Pool(workers, initializer=_ignore_sigint))
             results = pool.imap(_classify_chunk, todo)
         else:
             results = map(_classify_chunk, todo)

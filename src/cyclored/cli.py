@@ -2,7 +2,7 @@
 
 Subcommands: census, density, entangle, galois, constants.  Exit codes:
 0 success, 2 usage or input errors, 3 expected-value mismatch on a
-registry curve, 4 I/O failures.
+registry curve, 4 I/O failures, 130 a census interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_IO = 4
+EXIT_INTERRUPTED = 130
 
 
 def _fail(msg: str, code: int) -> int:
@@ -76,6 +77,8 @@ def cmd_census(args) -> int:
         return _fail(str(exc), EXIT_IO)
     except (IterationCap, BadWitness) as exc:
         return _fail(f"group structure: {exc}", EXIT_USAGE)
+    except KeyboardInterrupt:
+        return _fail("interrupted", EXIT_INTERRUPTED)
     print(
         f"curve ({report.a}, {report.b}) limit {report.limit}: "
         f"{report.cyclic_count}/{report.total_primes} cyclic "
@@ -169,7 +172,7 @@ def cmd_entangle(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         return _fail(f"group file: {exc}", EXIT_USAGE)
     try:
         kind, payload = load_group_description(doc)
@@ -177,6 +180,7 @@ def cmd_entangle(args) -> int:
         ValueError,
         KeyError,
         TypeError,
+        OverflowError,  # a number that JSON read as infinity
         NotOrderTwo,
         NotCentral,
         CharacterNotSurjective,
@@ -205,7 +209,11 @@ def cmd_galois(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if args.l is not None and not 2 <= args.sample_bound <= SIEVE_LIMIT:
         return _fail("--sample-bound must be between 2 and 2**32", EXIT_USAGE)
-    print(f"two-division degree: {two_division_degree(curve)}")
+    try:
+        degree = two_division_degree(curve)
+    except ValueError as exc:  # |B| too large to factor
+        return _fail(f"two-division degree: {exc}", EXIT_USAGE)
+    print(f"two-division degree: {degree}")
     if args.l is not None:
         try:
             res = certify_surjective(curve, args.l, sample_bound=args.sample_bound)

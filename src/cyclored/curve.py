@@ -54,7 +54,6 @@ _SAMPLE_BUDGET = 16         # points on the curve and its twist before Iteration
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
-_MIN_LANES = 32             # below this many, group_order is cheaper than a slice
 
 
 class BadReduction(Exception):
@@ -588,15 +587,13 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     quadratic twist of E otherwise; one powmod c^((p-1)/2) tells which,
     and a twist's settled order n_c maps back to 2p + 2 - n_c.  A lane
     settles by the scalar rule: exactly one multiple of the point's order
-    in the Hasse window.  Every other prime, and all of them when fewer
-    than _MIN_LANES would share the lanes, goes to group_order.
+    in the Hasse window.  Every other prime goes to group_order.
 
     stats, a Counter when given, receives the number of orders settled in
     lanes (orders_batched), of lanes on the twist (lanes_twisted) and of
     lanes settled by a giant at infinity (lanes_at_infinity), and the
     orders left to group_order (orders_scalar) by reason: p outside the
-    lane range (scalar_p_range), too few lane primes
-    (scalar_small_batch), a point of order at most 2m + 1
+    lane range (scalar_p_range), a point of order at most 2m + 1
     (scalar_small_order), a degenerate step or a c0*P at infinity
     (scalar_degenerate), and several multiples in the window
     (scalar_multiples).
@@ -604,9 +601,6 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     counts = Counter()
     index = [i for i, p in enumerate(primes) if _EXHAUSTIVE_BELOW <= p < _LANE_LIMIT]
     counts["scalar_p_range"] = len(primes) - len(index)
-    if len(index) < _MIN_LANES:
-        counts["scalar_small_batch"] = len(index)
-        index = []
     out = [0] * len(primes)
     if index:
         p = np.array([primes[i] for i in index], dtype=np.uint64)

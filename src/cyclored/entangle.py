@@ -3,9 +3,10 @@
 Elements are tuples of invertible 2x2 matrices over prime fields,
 packed into integers (base l per entry, components big-endian) so that
 integer order equals lexicographic order of the serialized matrices and
-deduplication is exact.  Groups whose code space fits 64-bit integers
-store their codes in a numpy int64 array, others in a tuple of Python
-integers.
+deduplication is exact.  A group stores its codes in one sorted numpy
+array: int64 when the code space fits 64-bit arithmetic, Python
+integers in an object array otherwise.  _encode_array packs and _split
+unpacks every code.
 
 A closure is computed in two stages: each modulus's projection is
 closed on its own in Python, giving one permutation table per
@@ -76,6 +77,16 @@ def _unpack_mat(code: int, l: int) -> Mat:
     return (a, b, c, d)
 
 
+def _check_moduli(moduli) -> tuple[int, ...]:
+    moduli = tuple(moduli)
+    if len(set(moduli)) != len(moduli):
+        raise ValueError("moduli must be distinct")
+    for l in moduli:
+        if not is_prime(l):
+            raise ValueError(f"modulus {l} is not prime")
+    return moduli
+
+
 @dataclass(frozen=True)
 class MatrixTuple:
     """One element of a product of matrix groups over prime fields."""
@@ -84,7 +95,7 @@ class MatrixTuple:
     mats: tuple[Mat, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "moduli", tuple(self.moduli))
+        object.__setattr__(self, "moduli", _check_moduli(self.moduli))
         if len(self.mats) != len(self.moduli):
             raise ValueError("one matrix per modulus required")
         object.__setattr__(
@@ -100,63 +111,55 @@ class MatrixTuple:
         return _encode(self.mats, self.moduli)
 
 
-def _encode(mats, moduli: tuple[int, ...]) -> int:
-    c = 0
-    for m, l in zip(mats, moduli):
-        c = c * l**4 + _pack_mat(m, l)
-    return c
+def _dtype(space: int):
+    """The dtype of codes or indices in [0, space): int64 up to a space
+    of 2**62, so that _walk's keys 2x + 1 fit too, else Python integers."""
+    return np.int64 if space <= _INT64_SAFE else object
 
 
-def _fits_int64(moduli: tuple[int, ...]) -> bool:
-    return prod(l**4 for l in moduli) < _INT64_SAFE
+def _code_space(moduli: tuple[int, ...]) -> int:
+    return prod(l**4 for l in moduli)
 
 
 def _encode_array(comps, moduli: tuple[int, ...]) -> np.ndarray:
-    """_encode over arrays: comps[i] holds packed matrices modulo
-    moduli[i], and the arrays broadcast against each other.  The codes
-    are int64 when the code space fits, Python integers otherwise."""
+    """The codes of the tuples whose component i is the packed matrix
+    comps[i] modulo moduli[i]; the arrays broadcast against each other."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in comps))
-    codes = np.zeros(shape, dtype=np.int64 if _fits_int64(moduli) else object)
+    codes = np.zeros(shape, dtype=_dtype(_code_space(moduli)))
     for c, l in zip(comps, moduli):
         codes *= l**4  # in place: one array of codes at a time
         codes += c
     return codes
 
 
+def _encode(mats, moduli: tuple[int, ...]) -> int:
+    return int(_encode_array([_pack_mat(m, l) for m, l in zip(mats, moduli)], moduli))
+
+
 def _decode(code: int, moduli: tuple[int, ...]) -> tuple[Mat, ...]:
-    mats: list[Mat] = []
-    for l in reversed(moduli):
-        code, comp = divmod(code, l**4)
-        mats.append(_unpack_mat(comp, l))
-    return tuple(reversed(mats))
+    codes = np.array([code], dtype=_dtype(_code_space(moduli)))
+    comps = _split(codes, [l**4 for l in moduli])
+    return tuple(_unpack_mat(int(c[0]), l) for c, l in zip(comps, moduli))
 
 
 class MatrixTupleGroup:
     """Immutable enumerated subgroup of a product of matrix groups.
 
-    elements is the full sorted list of packed codes; a numpy int64
-    array when the total code space fits 64-bit arithmetic, otherwise a
-    tuple of Python integers.
+    elements is the sorted numpy array of all packed codes: int64 when
+    the total code space fits 64-bit arithmetic, otherwise an object
+    array of Python integers.
     """
 
     def __init__(self, moduli, generators, element_codes):
-        self.moduli = tuple(moduli)
-        if len(set(self.moduli)) != len(self.moduli):
-            raise ValueError("moduli must be distinct")
-        for l in self.moduli:
-            if not is_prime(l):
-                raise ValueError(f"modulus {l} is not prime")
+        self.moduli = _check_moduli(moduli)
         self.generators = tuple(generators)
         for g in self.generators:
             if g.moduli != self.moduli:
                 raise ValueError("generator moduli mismatch")
-        if _fits_int64(self.moduli):
-            codes = np.asarray(element_codes, dtype=np.int64)
-            if np.any(codes[1:] < codes[:-1]):
-                codes = np.sort(codes)
-            self.elements = codes
-        else:
-            self.elements = tuple(sorted(int(c) for c in element_codes))
+        codes = np.asarray(element_codes, dtype=_dtype(_code_space(self.moduli)))
+        if np.any(codes[1:] < codes[:-1]):
+            codes = np.sort(codes)
+        self.elements = codes
         n = len(self.elements)
         if n == 0:
             raise ValueError("a group cannot be empty")
@@ -225,10 +228,11 @@ def _close_projection(gens: list[Mat], l: int, cap: int) -> tuple[np.ndarray, np
 
 
 def _split(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Mixed-radix digits of x (big-endian, radices sizes) as int64."""
+    """Mixed-radix digits of x (big-endian, radices sizes), each of the
+    dtype that _dtype picks for its radix."""
     digits = []
     for n in reversed(sizes):
-        digits.append((x % n).astype(np.int64, copy=False))
+        digits.append((x % n).astype(_dtype(n), copy=False))
         x = x // n
     return digits[::-1]
 
@@ -246,7 +250,7 @@ def _walk(sizes: list[int], tables: list[np.ndarray], cap: int) -> np.ndarray:
     Elements found carry keys 2x and candidates keys 2x + 1, so after
     sorting, a candidate is new exactly when the key before it is
     below 2x."""
-    dtype = np.int64 if prod(sizes) < _INT64_SAFE else object
+    dtype = _dtype(prod(sizes))
     inverses = []
     for t in tables:
         inv = np.empty_like(t)
@@ -290,7 +294,7 @@ def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> Matr
     product of the projections fits, Python integers in object arrays
     otherwise.  The indices are finally mapped to packed codes.
     """
-    moduli = tuple(moduli)
+    moduli = _check_moduli(moduli)
     gens = [g if isinstance(g, MatrixTuple) else MatrixTuple(moduli, g) for g in generators]
     projections = [_close_projection([g.mats[i] for g in gens], l, cap)
                    for i, l in enumerate(moduli)]
@@ -311,16 +315,14 @@ def full_product_group(moduli, cap: int = DEFAULT_CLOSURE_CAP) -> MatrixTupleGro
     total = prod(_gl2_size(l) for l in moduli)
     if total > cap:
         raise ClosureCapExceeded(f"full product has {total} > {cap} elements")
-    if not _fits_int64(moduli):
+    if _dtype(_code_space(moduli)) is object:
         raise ValueError("code space too large for direct materialization")
     comps = []
     for i, l in enumerate(moduli):
         idx = np.arange(l**4, dtype=np.int64)
-        a, b = idx // l**3 % l, idx // l**2 % l
-        c, d = idx // l % l, idx % l
         # on axis i of the grid of all tuples, so the codes come out sorted
         shape = [-1 if j == i else 1 for j in range(len(moduli))]
-        comps.append(idx[(a * d - b * c) % l != 0].reshape(shape))
+        comps.append(idx[_mat_det(_unpack_mat(idx, l), l) != 0].reshape(shape))
     codes = _encode_array(comps, moduli).ravel()
     gens = []
     for i, l in enumerate(moduli):
@@ -334,28 +336,10 @@ def delta_exact(G: MatrixTupleGroup) -> Fraction:
     """Exact fraction of elements whose every component differs from the
     identity matrix: the group-theoretic cyclicity density at the
     group's level."""
-    r = len(G.moduli)
-    id_codes = [_pack_mat(_ID, l) for l in G.moduli]
-    if isinstance(G.elements, np.ndarray):
-        x = G.elements.copy()
-        mask = np.ones(len(x), dtype=bool)
-        for i in range(r - 1, -1, -1):
-            l4 = G.moduli[i] ** 4
-            mask &= (x % l4) != id_codes[i]
-            x //= l4
-        hits = int(mask.sum())
-    else:
-        hits = 0
-        for code in G.elements:
-            ok = True
-            for i in range(r - 1, -1, -1):
-                l4 = G.moduli[i] ** 4
-                code, comp = divmod(code, l4)
-                if comp == id_codes[i]:
-                    ok = False
-                    break
-            hits += ok
-    return Fraction(hits, G.order)
+    mask = np.ones(G.order, dtype=bool)
+    for comp, l in zip(_split(G.elements, [l**4 for l in G.moduli]), G.moduli):
+        mask &= comp != _pack_mat(_ID, l)
+    return Fraction(int(mask.sum()), G.order)
 
 
 def norm_one_construction(component_elements, ambient: MatrixTupleGroup) -> MatrixTupleGroup:
@@ -455,7 +439,9 @@ def load_group_description(doc: dict):
     if not isinstance(doc, dict):
         raise ValueError("group description must be a JSON object")
     kind = doc.get("construction", "closure")
-    cap = int(doc.get("cap", DEFAULT_CLOSURE_CAP))
+    cap = doc.get("cap", DEFAULT_CLOSURE_CAP)
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be an integer of at least 1, got {cap!r}")
     if kind == "index2":
         return "index2", index2_character_subgroup(
             doc["factor_sizes"], doc["kernel_sizes"]

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,6 +348,8 @@ def _sweep_cli(argv, capsys):
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in err, argv
+    if code in (2, 4):
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
     return code
 
 
@@ -373,6 +381,101 @@ def test_cli_density_and_constants_edge_sweep(tmp_path, capsys):
         codes.append(_sweep_cli(["constants", "--truncation", trunc], capsys))
     # the sweep reaches both the accepted and the rejected paths
     assert codes.count(0) >= 20 and codes.count(2) >= 20 and 4 in codes
+
+
+_EDGE_COEFFS = [0, 1, -1, 2, -3, 4, 2**62 - 1, 2**62, -(2**62), 2**63 - 1, 2**64,
+                2**200, -(2**200)]
+_EDGE_LIMITS = ["-1", "0", "1", "2", "3", "1000", "3000", "4294967297", str(10**30)]
+_EDGE_ELLS = ["-3", "0", "1", "2", "3", "4", "5", "7", "13", str(2**61 - 1), str(10**30)]
+_EDGE_BOUNDS = ["-1", "0", "1", "2", "3", "100", "1000", "4294967297"]
+_EDGE_MODULI = [[3, 5, 7], [4], [2, 2], [-3], [0], [3.5], [2**61 - 1], [10**30], [None],
+                ["3"], 3, None]
+_EDGE_MATRICES = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [2, 0, 0, 1], [-1, 0, 0, 1],
+                  [1, 2, 2, 4]]
+_EDGE_GENERATORS = [[], [[[1, 1, 0, 1]]], [[[0, 1, 1, 0]], [[1, 1, 0, 1]]],
+                    [[[1, 1, 0, 1], [0, 1, 1, 0]]], [[[1, 2, 2, 4]]], [[[1, 1, 0]]],
+                    [[["a", 1, 0, 1]]], [[[10**30, 1, 0, 1]]], [[5]], [5], 5, None]
+_SMALL_MODULI = [[2], [3], [2, 3], [5], []]
+# JSON texts; every cap but the last keeps a closure short on any moduli
+_EDGE_CAPS = ["1", "2", "48", "300", "0", "-1", "1.5", "true", "null", '"5"', "1e400",
+              str(10**30)]
+
+
+def _edge_group_text(rng):
+    """A group description file built from valid and invalid pieces."""
+    if rng.random() < 0.1:
+        return rng.choice(["{oops", "", "[" * 100_000 + "]" * 100_000, "[1, 2]", "5",
+                           "null", '"group"'])
+    doc = {}
+    kind = rng.choice(["closure", "closure", "full_product", "norm_one", "index2",
+                       "banana", None, 5])
+    if kind is not None:
+        doc["construction"] = kind
+    if rng.random() < 0.9:
+        doc["moduli"] = rng.choice(_SMALL_MODULI * 3 + _EDGE_MODULI)
+    if rng.random() < 0.5 and isinstance(doc.get("moduli"), list):
+        doc["generators"] = [[rng.choice(_EDGE_MATRICES) for _ in doc["moduli"]]
+                             for _ in range(rng.randrange(4))]
+    elif rng.random() < 0.8:
+        doc["generators"] = rng.choice(_EDGE_GENERATORS)
+    if kind == "norm_one":
+        doc["involutions"] = rng.choice([[[2, 0, 0, 2], [4, 0, 0, 4], [6, 0, 0, 6]],
+                                         [[2, 0, 0, 2], [4, 0, 0, 4], [1, 0, 0, 1]],
+                                         [[2, 0, 0, 2]], 5, [[0, 0, 0, 0]] * 3])
+    if kind == "index2":
+        doc["factor_sizes"] = rng.choice([[6, 13200], [2, 2], [6], [6, 9], 5, [0, 2]])
+        doc["kernel_sizes"] = rng.choice([[3, 6600], [1, 1], [3], [3, 3], None])
+    text = json.dumps(doc)
+    caps = _EDGE_CAPS[:4] * 2 + _EDGE_CAPS[4:]  # accepted caps twice as often
+    if doc.get("moduli") in _SMALL_MODULI:
+        cap = rng.choice(caps + [None])  # None: the default cap
+    else:
+        cap = rng.choice(caps[:-1])
+    if cap is not None:
+        text = text[:-1] + (", " if doc else "") + f'"cap": {cap}}}'
+    return text
+
+
+def test_cli_census_entangle_galois_edge_sweep(tmp_path, capsys):
+    # Every accepted census stays at a limit of 3000 or less, every
+    # accepted certification at a sample bound of 1000 or less.
+    rng = random.Random(1729)
+    bad_ck = tmp_path / "bad.jsonl"
+    bad_ck.write_text("garbage\n")
+    paths = [str(tmp_path), str(bad_ck)]
+    codes = []
+    for i in range(100):
+        a, b = rng.choice(_EDGE_COEFFS), rng.choice(_EDGE_COEFFS)
+        argv = ["census", "--a", str(a), "--b", str(b)]
+        if rng.random() < 0.15:  # a label beside both, one or none of --a, --b
+            argv[1:1 + 2 * rng.randrange(3)] = ["--label", "serre-ex1"]
+        argv += ["--limit", rng.choice(_EDGE_LIMITS),
+                 "--workers", rng.choice(["0", "-1", "1", "1", "2"])]
+        if rng.random() < 0.4:
+            argv += ["--checkpoint", rng.choice(paths + [str(tmp_path / f"ck{i}.jsonl")])]
+        if rng.random() < 0.3:
+            argv += [rng.choice(["--per-prime-csv", "--fraction-csv"]),
+                     rng.choice(paths + [str(tmp_path / f"rows{i}.csv")])]
+        codes.append(_sweep_cli(argv, capsys))
+    for i in range(80):
+        a, b = rng.choice(_EDGE_COEFFS), rng.choice(_EDGE_COEFFS)
+        argv = ["galois", "--a", str(a), "--b", str(b)]
+        if rng.random() < 0.6:
+            argv += ["--l", rng.choice(_EDGE_ELLS), "--sample-bound", rng.choice(_EDGE_BOUNDS)]
+        codes.append(_sweep_cli(argv, capsys))
+    for argv in (["--a", "1", "--b", str(2**62)], ["--a", str(2**63 - 1), "--b", str(2**63 - 1)]):
+        assert _sweep_cli(["galois"] + argv, capsys) == 2
+    for i in range(200):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(_edge_group_text(rng))
+        codes.append(_sweep_cli(["entangle", str(path)], capsys))
+    for name in ("missing.json", "."):
+        codes.append(_sweep_cli(["entangle", str(tmp_path / name)], capsys))
+    path = tmp_path / "inf.json"
+    path.write_text('{"moduli": [3], "generators": [[[1, 1, 0, 1]]], "cap": 1e400}')
+    assert _sweep_cli(["entangle", str(path)], capsys) == 2
+    # the sweep reaches both the accepted and the rejected paths
+    assert codes.count(0) >= 30 and codes.count(2) >= 60 and codes.count(4) >= 5
 
 
 def test_cli_entangle(tmp_path, capsys):
@@ -459,6 +562,35 @@ def test_cli_census_structure_errors_exit_2(capsys, monkeypatch, exc):
     code, out, err = run_cli(capsys, "census", "--a", "-3", "--b", "1", "--limit", "3000")
     assert code == 2 and out == ""
     assert err == "error: group structure: forced\n"
+
+
+def test_cli_census_interrupt_exits_130(tmp_path):
+    # Ctrl-C in a terminal signals the whole foreground process group: the
+    # census and its pool workers.
+    ck = tmp_path / "ck.jsonl"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclored.cli", "census", "--label", "serre-ex3",
+         "--limit", "1000000", "--workers", "2", "--checkpoint", str(ck)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (ck.exists() and len(ck.read_text().splitlines()) >= 2):  # header, chunk
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n" and out == ""
+    spec = get_curve("serre-ex3")
+    assert census._load_checkpoint(str(ck), spec.A, spec.B, census.DEFAULT_SPLIT_PRIMES)
 
 
 @pytest.mark.parametrize("argv, option", [

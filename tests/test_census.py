@@ -304,10 +304,10 @@ def test_workers_agree(tmp_path, monkeypatch):
     assert solo.extra["orders_batched"] + solo.extra["orders_scalar"] == solo.good_primes
     assert solo.extra["orders_batched"] > 0 and solo.extra["two_by_discriminant"] > 0
     # the report carries group_orders' routes, and each scalar order has one reason
-    reasons = ("scalar_p_range", "scalar_small_batch", "scalar_small_order",
-               "scalar_degenerate", "scalar_multiples")
+    reasons = ("scalar_p_range", "scalar_small_order", "scalar_degenerate",
+               "scalar_multiples")
     assert sum(solo.extra[k] for k in reasons) == solo.extra["orders_scalar"]
-    assert solo.extra["scalar_p_range"] > 0 and solo.extra["scalar_small_batch"] > 0
+    assert solo.extra["scalar_p_range"] > 0
     assert solo.extra["lanes_twisted"] > 0 and "lanes_at_infinity" in solo.extra
 
 

@@ -221,7 +221,7 @@ def test_lane_orders_match_group_order():
     bands = [(E, low) for E in curves]
     bands += [(E, _primes_below(top, 100)) for E in (curves[0], curves[-1])
               for top in (1 << 31, 1 << 32)]
-    bands.append((curves[1], [p for p in low if p > 10_000][:5]))  # too few for lanes
+    bands.append((curves[1], [p for p in low if p > 10_000][:5]))  # five lanes
     routes = Counter()
     for E, primes in bands:
         good = [p for p in primes if E.delta_E % p]
@@ -229,8 +229,8 @@ def test_lane_orders_match_group_order():
         got = group_orders(E.A, E.B, good, routes)
         assert got == [group_order(reduce(E, p)) for p in good], (E, good[0], good[-1])
         assert routes["orders_batched"] + routes["orders_scalar"] == before + len(good)
-    for route in ("scalar_p_range", "scalar_small_batch",
-                  "scalar_small_order", "scalar_degenerate", "scalar_multiples"):
+    for route in ("scalar_p_range", "scalar_small_order", "scalar_degenerate",
+                  "scalar_multiples"):
         assert routes[route] > 0, route
     # the lanes settle most of the primes they scan
     scanned = routes["orders_batched"] + sum(

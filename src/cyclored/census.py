@@ -22,6 +22,7 @@ from .curve import (
     BadReduction,
     CurveOverQ,
     ReducedCurve,
+    full_torsion_lanes,
     group_orders,
     group_structure,
     has_full_ell_torsion,
@@ -33,11 +34,13 @@ from .utils import truncate_decimal
 CHUNK_SIZE = 4096
 DEFAULT_SPLIT_PRIMES = (2, 3, 5, 7)
 _CHECKPOINT_VERSION = 1
-# curve.group_orders' and curve.group_structure's counters that
-# CensusReport.extra carries; the scalar_* reasons sum to orders_scalar
+# curve.group_orders', curve.full_torsion_lanes' and curve.group_structure's
+# counters that CensusReport.extra carries; the scalar_* reasons sum to
+# orders_scalar
 _RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range",
                "scalar_small_order", "scalar_degenerate", "scalar_multiples",
-               "lanes_twisted", "lanes_at_infinity", "two_by_discriminant")
+               "lanes_twisted", "lanes_at_infinity", "two_by_discriminant",
+               "frobenius_lanes", "sylow_sampled")
 
 
 class CheckpointCorrupt(Exception):
@@ -135,13 +138,17 @@ def _first_invariants(curve: CurveOverQ, primes, stats=None):
     reduced point group, and 0 marks a prime of bad reduction.
 
     The group orders come from one curve.group_orders call over the good
-    primes; stats, a Counter when given, receives its counts and those of
-    curve.group_structure."""
+    primes and the full 3-, 4- and 5-torsion from one
+    curve.full_torsion_lanes call; stats, a Counter when given, receives
+    their counts and those of curve.group_structure."""
     A, B, delta = curve.A, curve.B, curve.delta_E
-    orders = iter(group_orders(A, B, [p for p in primes if delta % p], stats))
+    good = [p for p in primes if delta % p]
+    orders = group_orders(A, B, good, stats)
+    known = iter(zip(orders, full_torsion_lanes(A, B, good, orders, stats)))
     for p in primes:
         if delta % p:
-            yield p, group_structure(ReducedCurve(p, A % p, B % p), next(orders), stats).d
+            n, full = next(known)
+            yield p, group_structure(ReducedCurve(p, A % p, B % p), n, stats, full).d
         else:
             yield p, 0
 
@@ -375,10 +382,12 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     are skipped without computing a group order.  The prime p = l itself
     never qualifies and is skipped.
 
-    Each prime goes through has_full_ell_torsion, which samples the
-    l-Sylow subgroup for every l.  The census decides 2 | d from the
-    discriminant instead where it can, so for l = 2 this count and the
-    census's split count are two different computations of 2 | d.
+    Each prime goes through has_full_ell_torsion: for l = 2 it asks
+    whether the cubic x^3 + ax + b splits over F_p, which the census
+    decides from the discriminant and 4 | n instead; for odd l it samples
+    the l-Sylow subgroup, where the census takes l = 3, 5 from
+    Frobenius on the division polynomials.  So for l <= 5 this count and
+    the census's split count are two different computations of l | d.
     """
     if not is_prime(l):
         raise ValueError(f"torsion prime must be a prime: {l}")

@@ -21,11 +21,17 @@ as c is a square or not, and map a twist's order n back to 2p + 2 - n.
 A lane's giant step that lands exactly on infinity yields its own
 scalar as an annihilator and the chain goes on in place.
 
-Structure determination never touches pairings: the first invariant
-factor is certified per prime l by either a point whose l-part has full
-length (cyclic Sylow), or two independent points of order l,
-independence decided by enumerating the <= l multiples of one of them.
-For l = 2 the discriminant of the cubic decides first where it can.
+Structure determination never touches pairings.  For l = 2 the
+discriminant of the cubic decides first where it can.  The census then
+asks `full_torsion_lanes`, a chunk of primes at once, whether E[m] lies
+in E(F_p) for m = 3, 4 and 5 wherever that is open, by Schoof's test
+x^p == x modulo the division polynomial psi_3, psi_4/4y or psi_5 in
+uint64 lanes; that answer settles the exponent of l in d unless a
+deeper level is possible.  What is left, l >= 7 among it, is certified
+by sampling: a point whose l-part has full length (cyclic Sylow), or
+two independent points of order l, independence decided by enumerating
+the <= l multiples of one of them.  `has_full_ell_torsion(C, 2)` asks
+whether the cubic splits over F_p.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
 mix of (p, a, b) and a tag drives the x-candidates and the y-sign choice
@@ -636,6 +642,111 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# full m-torsion from Frobenius on division polynomials, in numpy lanes
+
+
+def _poly_mul(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, c in enumerate(u):
+        for j, w in enumerate(v):
+            out[i + j] += c * w
+    return out
+
+
+def _division_polynomials(A: int, B: int) -> dict[int, list[int]]:
+    """psi_3, g_4 = psi_4 / 4y and psi_5 of y^2 = x^3 + Ax + B as integer
+    coefficient lists, constant term first.  Their roots are the
+    x-coordinates of the points of order 3, of exact order 4 and of order
+    5.  psi_5 comes from the recursion psi_5 = psi_4 psi_2^3 - psi_3^3
+    with psi_2 = 2y, that is 32 f^2 g_4 - psi_3^3 for f = x^3 + Ax + B."""
+    f = [B, A, 0, 1]
+    psi3 = [-A * A, 12 * B, 6 * A, 0, 3]
+    g4 = [-8 * B * B - A**3, -4 * A * B, -5 * A * A, 20 * B, 5 * A, 0, 1]
+    cube = _poly_mul(_poly_mul(psi3, psi3), psi3)
+    return {3: psi3, 4: g4,
+            5: [32 * u - w for u, w in zip(_poly_mul(_poly_mul(f, f), g4), cube)]}
+
+
+def _lane_x_power_is_x(low, p):
+    """Whether x^p == x modulo psi = x^k + low[k-1] x^(k-1) + ... + low[0]
+    per lane, low a (k, n) array of residues, k >= 2.
+
+    Left to right over the bits of max(p) from r = 1; a lane's leading
+    zero bits square 1.  A square is k row products, a set bit shifts it
+    by one place, and the rows x^k ... x^(2k-1) fold back through their
+    residues mod psi, precomputed per lane, as one sum of products.  Below
+    2**29 a sum of 2k products stays below 2k p^2 < 2**64 and takes one
+    % at the end; above, each product is reduced first."""
+    k, n = low.shape
+    lazy = int(p.max()) < 1 << 29
+    fold = np.empty((k, k, n), dtype=np.uint64)  # fold[j] = x^(k + j) mod psi
+    fold[0] = np.where(low == 0, low, p - low)
+    for j in range(1, k):
+        top = fold[j - 1, k - 1]
+        fold[j, 0] = 0
+        fold[j, 1:] = fold[j - 1, :-1]
+        fold[j] += top * fold[0] % p
+        fold[j] %= p
+    r = np.zeros((k, n), dtype=np.uint64)
+    r[0] = 1
+    for bit in range(int(p.max()).bit_length() - 1, -1, -1):
+        sq = np.zeros((2 * k, n), dtype=np.uint64)
+        for i in range(k):
+            sq[i : i + k] += r[i] * r if lazy else r[i] * r % p
+        sq = np.where((p >> bit) & 1 == 1, np.roll(sq, 1, axis=0), sq)
+        r, high = sq[:k], sq[k:] % p
+        for j in range(k):
+            r += high[j] * fold[j] if lazy else high[j] * fold[j] % p
+        r %= p
+    return (r[1] == 1) & ~r[0].astype(bool) & ~r[2:].any(axis=0)
+
+
+def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> list[dict[int, bool]]:
+    """Per prime, {m: whether E[m] lies in E(F_p)} for the m in (3, 4, 5)
+    that it is a candidate for, decided by x^p == x modulo a division
+    polynomial in numpy lanes.  primes are of good reduction, orders
+    their group orders; primes from 2**32 on get no answers.
+
+    m = l in (3, 5) is a candidate when p = 1 mod l and l^2 | n.  The
+    test says every root of psi_l is in F_p, so Frobenius sends each
+    point of E[l] to itself or its negative and acts on E[l] as I or -I
+    (a map with P -> P and Q -> -Q would send P + Q to P - Q).  -I would
+    make n = det(1 - Frobenius) = det(2I) = 4 mod l, which l | n rules
+    out, so the test is true exactly when E[l] is rational.
+
+    m = 4 is a candidate when p = 1 mod 4 and 16 | n.  The test says
+    Frobenius sends each point of exact order 4 to itself or its
+    negative, hence fixes E[2], and acts on E[4] as I or -I mod 4.  With
+    Frobenius = -I + 4N, n = det(2I - 4N) = 4 det(I - 2N), whose second
+    factor is odd, so v_2(n) = 2, which 16 | n rules out: the test is
+    true exactly when E[4] is rational.
+
+    psi_3 and psi_5 have leading coefficient 3 and 5; a lane makes them
+    monic by l^-1 = p - (p - 1)/l, as l | p - 1.  stats, a Counter when
+    given, receives the number of lane tests (frobenius_lanes).
+    """
+    out = [{} for _ in primes]
+    p = np.array(primes, dtype=np.int64)
+    n = np.array(orders, dtype=np.int64)
+    polys = _division_polynomials(A, B)
+    for m, square in ((3, 9), (4, 16), (5, 25)):
+        lanes = np.flatnonzero((p % m == 1) & (n % square == 0) & (p < _LANE_LIMIT))
+        if not len(lanes):
+            continue
+        q = p[lanes].astype(np.uint64)
+        *low, _ = (_lane_residues(c, q) for c in polys[m])
+        if m != 4:
+            inv = q - (q - 1) // np.uint64(m)
+            low = [c * inv % q for c in low]
+        fixed = _lane_x_power_is_x(np.stack(low), q)
+        for i, ok in zip(lanes.tolist(), fixed.tolist()):
+            out[i][m] = ok
+        if stats is not None:
+            stats["frobenius_lanes"] += len(lanes)
+    return out
+
+
 def point_order(P, N: int, C: ReducedCurve) -> int:
     """Exact order of P given any annihilating multiple N (e.g. the group order)."""
     p, a = C.p, C.a
@@ -656,6 +767,14 @@ def point_order(P, N: int, C: ReducedCurve) -> int:
 
 # ---------------------------------------------------------------------------
 # group structure
+
+
+def _valuation(n: int, l: int) -> int:
+    v = 0
+    while n % l == 0:
+        n //= l
+        v += 1
+    return v
 
 
 def _l_height(T, l, v, p, a):
@@ -688,12 +807,7 @@ def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
     reducing both to order l and listing the <= l multiples of one
     decides independence.
     """
-    w = 0
-    pm1 = p - 1
-    while pm1 % l == 0:
-        pm1 //= l
-        w += 1
-    amax = min(v // 2, w)
+    amax = min(v // 2, _valuation(p - 1, l))
     if amax == 0:
         return 0
     cof = N // l**v
@@ -736,7 +850,8 @@ def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
     raise IterationCap(f"l={l} structure unresolved for p={p} within budget")
 
 
-def group_structure(C: ReducedCurve, n: int | None = None, stats=None) -> GroupStructure:
+def group_structure(C: ReducedCurve, n: int | None = None, stats=None,
+                    full_torsion: dict[int, bool] | None = None) -> GroupStructure:
     """Invariant factors (n, d, e) of the point group, always exact.
 
     n, when given, is the group order computed elsewhere (the census takes
@@ -747,19 +862,26 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None) -> GroupS
     it can.  By Stickelberger a non-square discriminant means exactly one
     root, so E(F_p)[2] = Z/2 and the 2-Sylow subgroup is cyclic.  A square
     one with 4 | n means three roots, so 2 | d, and the exponent is 1 when
-    min(v // 2, v_2(p - 1)) = 1.  stats, a Counter when given, receives the number of primes whose
-    2-part the discriminant settled (two_by_discriminant).
+    min(v // 2, v_2(p - 1)) = 1.
+
+    full_torsion, when given, holds for some m in (3, 4, 5) whether E[m]
+    lies in E(F_p), as full_torsion_lanes decides it.  With m = l^j, j = 1
+    for l = 3, 5 and j = 2 for l = 2 (after the discriminant showed 2 | d),
+    a false answer pins the exponent of l in d to j - 1, and a true one to
+    j when min(v // 2, v_l(p - 1)) = j.  Every other exponent is sampled.
+    stats, a Counter when given, receives the number of primes whose 2-part
+    the discriminant settled (two_by_discriminant) and of Sylow samplings
+    (sylow_sampled).
     """
     p, a, b = C.p, C.a, C.b
     if n is None:
         n = group_order(C)
     d = 1
     for l, _ in factorize(gcd(n, p - 1)):
-        v = 1
-        while n % l ** (v + 1) == 0:
-            v += 1
+        v = _valuation(n, l)
         if v < 2:
             continue
+        j = 1
         if l == 2:
             square = legendre(-(4 * a**3 + 27 * b * b), p) == 1
             if not square or v < 4 or p & 3 == 3:
@@ -767,29 +889,51 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None) -> GroupS
                     stats["two_by_discriminant"] += 1
                 d *= 2 if square else 1
                 continue
+            j = 2
+        full = full_torsion.get(l**j) if full_torsion else None
+        if full is False or (full and min(v // 2, _valuation(p - 1, l)) == j):
+            d *= l ** (j if full else j - 1)
+            continue
+        if stats is not None:
+            stats["sylow_sampled"] += 1
         d *= l ** _sylow_first_invariant(p, a, b, n, l, v)
     return GroupStructure(n, d, n // d)
+
+
+def _cubic_splits(p: int, a: int, b: int) -> bool:
+    """Whether x^3 + ax + b has three roots in F_p, that is x^p == x
+    modulo it, by left-to-right squaring of r = r0 + r1 x + r2 x^2 with
+    x^3 = -ax - b and x^4 = -ax^2 - bx; Python ints."""
+    r0, r1, r2 = 1, 0, 0
+    for bit in bin(p)[2:]:
+        t = r1 * r2
+        r0, r1, r2 = ((r0 * r0 - 2 * b * t) % p, (2 * (r0 * r1 - a * t) - b * r2 * r2) % p,
+                      (r1 * r1 + 2 * r0 * r2 - a * r2 * r2) % p)
+        if bit == "1":
+            r0, r1, r2 = -b * r2 % p, (r0 - a * r2) % p, r1
+    return (r0, r1, r2) == (0, 1, 0)
 
 
 def has_full_ell_torsion(C: ReducedCurve, l: int) -> bool:
     """Whether all l^2 points of order dividing l are rational, i.e. l | d.
 
-    Requires gcd(l, p) = 1; a true answer forces l | p-1 and l^2 | n, so
-    those two cheap rejections run first.
+    Requires gcd(l, p) = 1.  For l = 2 that is the cubic splitting over
+    F_p (_cubic_splits), with no group order.  For odd l a true answer
+    forces l | p-1 and l^2 | n, so those two cheap rejections run first
+    and the l-Sylow subgroup is sampled.
     """
     p = C.p
     if p % l == 0:
         raise ValueError(f"l={l} equals the residue characteristic")
+    if l == 2:
+        return _cubic_splits(p, C.a, C.b)
     if (p - 1) % l != 0:
         return False
     n = group_order(C)
-    v = 0
-    while n % l == 0:
-        n //= l
-        v += 1
+    v = _valuation(n, l)
     if v < 2:
         return False
-    return _sylow_first_invariant(p, C.a, C.b, n * l**v, l, v) >= 1
+    return _sylow_first_invariant(p, C.a, C.b, n, l, v) >= 1
 
 
 def is_cyclic(C: ReducedCurve) -> bool:

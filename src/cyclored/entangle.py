@@ -427,13 +427,23 @@ def index2_character_subgroup(factor_sizes, kernel_sizes) -> tuple[Index2Model, 
     return model, Fraction(count, order)
 
 
+def _json_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, refused unless every one is a JSON integer: a
+    float, a string or a boolean (which Python reads as an int) is not."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be integers, got {list(values)!r}")
+    return values
+
+
 def load_group_description(doc: dict):
     """Build a group (or abstract index-2 model) from a JSON document.
 
     Recognized constructions: "closure" (default; moduli + generators as
     lists of quadruples), "full_product" (moduli only), "norm_one"
     (moduli + three involutions, ambient is the closure of their
-    embeddings), and "index2" (factor_sizes + kernel_sizes).  Returns
+    embeddings), and "index2" (factor_sizes + kernel_sizes).  Moduli,
+    matrix entries and sizes must be JSON integers.  Returns
     ("group", MatrixTupleGroup) or ("index2", (Index2Model, Fraction)).
     """
     if not isinstance(doc, dict):
@@ -444,13 +454,14 @@ def load_group_description(doc: dict):
         raise ValueError(f"cap must be an integer of at least 1, got {cap!r}")
     if kind == "index2":
         return "index2", index2_character_subgroup(
-            doc["factor_sizes"], doc["kernel_sizes"]
+            _json_ints(doc["factor_sizes"], "factor sizes"),
+            _json_ints(doc["kernel_sizes"], "kernel sizes"),
         )
-    moduli = tuple(int(l) for l in doc["moduli"])
+    moduli = _json_ints(doc["moduli"], "moduli")
     if kind == "full_product":
         return "group", full_product_group(moduli, cap)
     if kind == "norm_one":
-        invs = [tuple(int(x) for x in e) for e in doc["involutions"]]
+        invs = [_json_ints(e, "involution entries") for e in doc["involutions"]]
         if len(invs) != len(moduli):
             raise ValueError("one involution per modulus required")
         emb = [
@@ -463,7 +474,7 @@ def load_group_description(doc: dict):
         return "group", norm_one_construction(invs, ambient)
     if kind == "closure":
         gens = [
-            MatrixTuple(moduli, [tuple(int(x) for x in quad) for quad in g])
+            MatrixTuple(moduli, [_json_ints(quad, "matrix entries") for quad in g])
             for g in doc.get("generators", [])
         ]
         return "group", generate_closure(moduli, gens, cap)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .curve import BadReduction, CurveOverQ, group_order, reduce
-from .modmath import divisors, is_prime, legendre, sieve_primes
+from .modmath import is_prime, legendre, sieve_primes
 
 DEFAULT_SAMPLE_BOUND = 10**4
 
@@ -59,20 +59,33 @@ class CertificationResult:
 
 
 def _integer_roots(A: int, B: int) -> set[int]:
-    """All integer roots of x^3 + Ax + B; rational roots of a monic
-    integer cubic are integers dividing the constant term."""
-    if B == 0:
-        roots = {0}
-        if A < 0:
-            s = isqrt(-A)
-            if s * s == -A:
-                roots.update((s, -s))
-        return roots
+    """All integer roots of f = x^3 + Ax + B.
+
+    Every real root lies in [-R, R] for R = 1 + max(|A|, |B|).  f rises on
+    the integers up to -t - 1 and from t + 1 on, and falls on [-t, t],
+    where t = isqrt(-A // 3) is the integer part of the critical point
+    sqrt(-A/3) (A >= 0: f rises everywhere).  On each such run an integer
+    bisection finds the first integer at which f has crossed zero, the
+    only integer there that can be a root."""
+    def f(x):
+        return (x * x + A) * x + B
+
+    R = 1 + max(abs(A), abs(B))
+    if A >= 0:
+        runs = [(-R, R, 1)]
+    else:
+        t = isqrt(-A // 3)
+        runs = [(-R, -t - 1, 1), (-t, t, -1), (t + 1, R, 1)]
     roots = set()
-    for d in divisors(abs(B)):
-        for r in (d, -d):
-            if r * r * r + A * r + B == 0:
-                roots.add(r)
+    for lo, hi, sign in runs:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if f(lo) == 0:
+            roots.add(lo)
     return roots
 
 

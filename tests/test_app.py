@@ -160,6 +160,21 @@ def test_cli_census_explicit_coefficients(capsys):
     assert "curve (-3, 1)" in out
 
 
+def test_cli_census_stats_leave_the_checkpoint_alone(capsys, tmp_path):
+    # --stats prints the run counters as one JSON line on stderr and
+    # writes the checkpoint byte for byte as a run without it does.
+    plain, counted = tmp_path / "plain.jsonl", tmp_path / "counted.jsonl"
+    argv = ["census", "--label", "serre-ex3", "--limit", "3000", "--checkpoint"]
+    code, out, err = run_cli(capsys, *argv, str(plain))
+    assert code == 0 and err == ""
+    code, out_stats, err = run_cli(capsys, *argv, str(counted), "--stats")
+    assert code == 0 and out_stats.rsplit(",", 1)[0] == out.rsplit(",", 1)[0]
+    extra = json.loads(err)
+    assert extra["frobenius_lanes"] > 0 and extra["sylow_sampled"] >= 0
+    assert extra["chunks_computed"] == 1 and extra["chunks_reused"] == 0
+    assert counted.read_bytes() == plain.read_bytes()
+
+
 def test_cli_census_usage_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "census", "--limit", "500")
     assert code == 2 and "need either" in err
@@ -389,9 +404,9 @@ _EDGE_LIMITS = ["-1", "0", "1", "2", "3", "1000", "3000", "4294967297", str(10**
 _EDGE_ELLS = ["-3", "0", "1", "2", "3", "4", "5", "7", "13", str(2**61 - 1), str(10**30)]
 _EDGE_BOUNDS = ["-1", "0", "1", "2", "3", "100", "1000", "4294967297"]
 _EDGE_MODULI = [[3, 5, 7], [4], [2, 2], [-3], [0], [3.5], [2**61 - 1], [10**30], [None],
-                ["3"], 3, None]
+                ["3"], 3, None, [5.0], [True]]
 _EDGE_MATRICES = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [2, 0, 0, 1], [-1, 0, 0, 1],
-                  [1, 2, 2, 4]]
+                  [1, 2, 2, 4], [2.9, 0, 0, 1.5], [1, True, 0, 1]]
 _EDGE_GENERATORS = [[], [[[1, 1, 0, 1]]], [[[0, 1, 1, 0]], [[1, 1, 0, 1]]],
                     [[[1, 1, 0, 1], [0, 1, 1, 0]]], [[[1, 2, 2, 4]]], [[[1, 1, 0]]],
                     [[["a", 1, 0, 1]]], [[[10**30, 1, 0, 1]]], [[5]], [5], 5, None]
@@ -421,10 +436,12 @@ def _edge_group_text(rng):
     if kind == "norm_one":
         doc["involutions"] = rng.choice([[[2, 0, 0, 2], [4, 0, 0, 4], [6, 0, 0, 6]],
                                          [[2, 0, 0, 2], [4, 0, 0, 4], [1, 0, 0, 1]],
-                                         [[2, 0, 0, 2]], 5, [[0, 0, 0, 0]] * 3])
+                                         [[2, 0, 0, 2]], 5, [[0, 0, 0, 0]] * 3,
+                                         [[2.0, 0, 0, 2], [4, 0, 0, 4], [6, 0, 0, 6]]])
     if kind == "index2":
-        doc["factor_sizes"] = rng.choice([[6, 13200], [2, 2], [6], [6, 9], 5, [0, 2]])
-        doc["kernel_sizes"] = rng.choice([[3, 6600], [1, 1], [3], [3, 3], None])
+        doc["factor_sizes"] = rng.choice([[6, 13200], [2, 2], [6], [6, 9], 5, [0, 2],
+                                          [6.5, 13200], [True, True]])
+        doc["kernel_sizes"] = rng.choice([[3, 6600], [1, 1], [3], [3, 3], None, [1.0, 1]])
     text = json.dumps(doc)
     caps = _EDGE_CAPS[:4] * 2 + _EDGE_CAPS[4:]  # accepted caps twice as often
     if doc.get("moduli") in _SMALL_MODULI:
@@ -463,8 +480,6 @@ def test_cli_census_entangle_galois_edge_sweep(tmp_path, capsys):
         if rng.random() < 0.6:
             argv += ["--l", rng.choice(_EDGE_ELLS), "--sample-bound", rng.choice(_EDGE_BOUNDS)]
         codes.append(_sweep_cli(argv, capsys))
-    for argv in (["--a", "1", "--b", str(2**62)], ["--a", str(2**63 - 1), "--b", str(2**63 - 1)]):
-        assert _sweep_cli(["galois"] + argv, capsys) == 2
     for i in range(200):
         path = tmp_path / f"g{i}.json"
         path.write_text(_edge_group_text(rng))
@@ -474,6 +489,14 @@ def test_cli_census_entangle_galois_edge_sweep(tmp_path, capsys):
     path = tmp_path / "inf.json"
     path.write_text('{"moduli": [3], "generators": [[[1, 1, 0, 1]]], "cap": 1e400}')
     assert _sweep_cli(["entangle", str(path)], capsys) == 2
+    # numbers that are not JSON integers are refused, not truncated
+    for doc in ({"moduli": [3.5]}, {"moduli": [5], "generators": [[[2.9, 0, 0, 1.5]]]},
+                {"construction": "full_product", "moduli": [True]},
+                {"construction": "index2", "factor_sizes": [6.0, 4], "kernel_sizes": [3, 2]}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "entangle", str(path))
+        assert (code, out, err.count("\n")) == (2, "", 1), doc
+        assert err.startswith("error: group description:"), doc
     # the sweep reaches both the accepted and the rejected paths
     assert codes.count(0) >= 30 and codes.count(2) >= 60 and codes.count(4) >= 5
 
@@ -529,6 +552,13 @@ def test_cli_galois(capsys):
 
     code, _, err = run_cli(capsys, "galois", "--label", "serre-ex4", "--l", "2")
     assert code == 2
+
+    # |B| >= 2^62: x^3 + x + 2^62 has no rational root and a negative
+    # discriminant; (x - r)(x - s)(x + r + s) splits
+    r, s = 2**70 + 3, -(2**65)
+    for a, b, want in ((1, 2**62, 6), (r * s - (r + s) ** 2, r * s * (r + s), 1)):
+        code, out, _ = run_cli(capsys, "galois", "--a", str(a), "--b", str(b))
+        assert code == 0 and f"two-division degree: {want}" in out
 
 
 def test_cli_constants(capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     FIVE_CURVES,
+    brute_add,
     brute_first_invariant,
     brute_points,
     brute_structure,
@@ -33,7 +34,7 @@ from cyclored.curve import (
     reduce,
     scalar_mul,
 )
-from cyclored.curve import _order_exhaustive
+from cyclored.curve import _order_exhaustive, full_torsion_lanes
 from cyclored.modmath import is_prime, legendre, sieve_primes, sqrt_mod
 
 
@@ -364,6 +365,85 @@ def test_two_torsion_by_discriminant_matches_sylow():
             assert square == (curve._sylow_first_invariant(p, A % p, B % p, n, 2, v) >= 1), (A, B, p)
             seen[square] += 1
     assert seen[True] > 1000 and seen[False] > 1000
+
+
+def test_full_torsion_lanes_match_sylow():
+    # Every good prime up to 2*10^4 of the registry curves and of seeded
+    # random curves, and bands of primes just below 2^29 (the lanes' lazy
+    # sums), just above it and below 2^32 (a reduction per product) on
+    # serre-ex3 and serre-ex5, rich in 3- and 5-torsion.  Each lane answer is l | d, or
+    # 4 | d, of the sampled structure, and the structure that takes the
+    # answers is the sampled one.
+    rng = random.Random(13)
+    curves = [CurveOverQ(A, B) for A, B in FIVE_CURVES]
+    curves += [CurveOverQ(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+               for _ in range(4)]
+    bands = [(E, sieve_primes(20_000)) for E in curves]
+    bands += [(curves[k], _primes_below(top, 150)) for k in (2, 4)
+              for top in (1 << 29, (1 << 29) + 5000, 1 << 32)]
+    seen = Counter()
+    for E, primes in bands:
+        good = [p for p in primes if E.delta_E % p]
+        orders = group_orders(E.A, E.B, good)
+        for p, n, full in zip(good, orders, full_torsion_lanes(E.A, E.B, good, orders)):
+            if not full:
+                continue
+            C = reduce(E, p)
+            st = group_structure(C, n)
+            for m, fixed in full.items():
+                assert fixed == (st.d % m == 0), (E, p, m)
+                seen[m, fixed] += 1
+            assert group_structure(C, n, full_torsion=full) == st, (E, p)
+    assert all(seen[m, fixed] > 0 for m in (3, 4, 5) for fixed in (True, False)), seen
+
+
+def _roots(coeffs, p):
+    return {x for x in range(p) if sum(c * x**i for i, c in enumerate(coeffs)) % p == 0}
+
+
+def test_division_polynomial_roots_are_torsion_x():
+    # For every other good p in (100, 1000), a root x in F_p of psi_3,
+    # g_4 or psi_5 is the x of a point of order 3, of exact order 4 or of
+    # order 5 on the curve or, when f(x) is not a square, of the point
+    # (cx, cy), y^2 = c f(x), of the quadratic twist
+    # y^2 = x^3 + ac^2 x + bc^3 for a non-square c.
+    found = Counter()
+    for A, B in (FIVE_CURVES[2], (31, -17)):
+        E = CurveOverQ(A, B)
+        polys = curve._division_polynomials(A, B)
+        for p in sieve_primes(1000)[::2]:
+            if p < 100 or E.delta_E % p == 0:
+                continue
+            c = next(c for c in range(2, p) if legendre(c, p) == -1)
+            torsion = {3: set(), 4: set(), 5: set()}
+            for scale, a, b in ((1, A % p, B % p), (c, A * c * c % p, B * c**3 % p)):
+                undo = pow(scale, -1, p)
+                for P in brute_points(p, a, b)[1:]:
+                    P2 = brute_add(P, P, p, a)
+                    P4 = brute_add(P2, P2, p, a)
+                    if brute_add(P2, P, p, a) is None:
+                        torsion[3].add(P[0] * undo % p)
+                    if P4 is None and P2 is not None:
+                        torsion[4].add(P[0] * undo % p)
+                    if brute_add(P4, P, p, a) is None:
+                        torsion[5].add(P[0] * undo % p)
+            for m, xs in torsion.items():
+                assert _roots(polys[m], p) == xs, (A, B, p, m)
+                found[m] += len(xs)
+    assert min(found.values()) > 100, found
+
+
+def test_cubic_splitting_matches_root_count():
+    # has_full_ell_torsion(C, 2) against a count of the cubic's roots
+    rng = random.Random(29)
+    primes = sieve_primes(5000)[2:]
+    for _ in range(300):
+        p = rng.choice(primes)
+        a, b = rng.randrange(p), rng.randrange(p)
+        if (4 * a**3 + 27 * b * b) % p == 0:
+            continue
+        roots = sum((x * x * x + a * x + b) % p == 0 for x in range(p))
+        assert has_full_ell_torsion(ReducedCurve(p, a, b), 2) == (roots == 3), (p, a, b)
 
 
 def test_group_order_hasse_bound():

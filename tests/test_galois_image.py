@@ -8,11 +8,12 @@ from conftest import FIVE_CURVES, brute_points
 from cyclored.curve import BadReduction, CurveOverQ
 from cyclored.galois_image import (
     InvalidPrime,
+    _integer_roots,
     certify_surjective,
     frobenius_trace,
     two_division_degree,
 )
-from cyclored.modmath import sieve_primes
+from cyclored.modmath import divisors, sieve_primes
 
 # splitting field degrees of the five registry cubics
 DEGREES = {(-3, 1): 3, (2, 3): 2, (-12096, -544752): 6,
@@ -31,6 +32,45 @@ def test_two_division_degree_small_cases():
     assert two_division_degree(CurveOverQ(-2, 0)) == 2   # x(x^2-2)
     assert two_division_degree(CurveOverQ(0, 2)) == 6    # irreducible, nonsquare disc
     assert two_division_degree(CurveOverQ(0, 1)) == 2    # root -1, quadratic rest
+
+
+def _divisor_roots(A, B):
+    """Integer roots of x^3 + Ax + B for B != 0 among the divisors of B."""
+    return {r for d in divisors(abs(B)) for r in (d, -d) if r**3 + A * r + B == 0}
+
+
+def test_integer_roots_match_divisor_walk():
+    # Seeded curves with |B| < 2^62: random ones, ones with a planted root
+    # r, (x - r)(x^2 + rx + c) = x^3 + (c - r^2)x - rc, and split ones,
+    # (x - r)(x - s)(x + r + s) = x^3 - (r^2 + rs + s^2)x + rs(r + s).
+    rng = random.Random(31)
+    counts = set()
+    for _ in range(600):
+        r, s = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
+        A, B = rng.choice([
+            (rng.randrange(-10**9, 10**9), rng.randrange(-(2**61), 2**61)),
+            (s - r * r, -r * s),
+            (-(r * r + r * s + s * s), r * s * (r + s)),
+        ])
+        if B == 0 or 4 * A**3 + 27 * B**2 == 0:
+            continue
+        roots = _integer_roots(A, B)
+        assert roots == _divisor_roots(A, B), (A, B)
+        counts.add(len(roots))
+    assert counts == {0, 1, 3}
+
+
+def test_integer_roots_of_split_cubics():
+    # (x - r)(x - s)(x + r + s) with roots up to 2^100, and with B = 0
+    rng = random.Random(37)
+    for _ in range(200):
+        r, s = (rng.choice([1, -1]) * rng.randrange(2 ** rng.randrange(1, 101)) for _ in range(2))
+        t = -r - s
+        if len({r, s, t}) < 3:
+            continue
+        assert _integer_roots(r * s + r * t + s * t, -r * s * t) == {r, s, t}, (r, s)
+    assert _integer_roots(-(2**200), 0) == {0, 2**100, -(2**100)}
+    assert _integer_roots(2**200, 0) == {0}
 
 
 def test_degree_controls_root_counts_mod_p():

@@ -39,8 +39,8 @@ _CHECKPOINT_VERSION = 1
 # orders_scalar
 _RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range",
                "scalar_small_order", "scalar_degenerate", "scalar_multiples",
-               "lanes_twisted", "lanes_at_infinity", "two_by_discriminant",
-               "frobenius_lanes", "sylow_sampled")
+               "lanes_retried", "lanes_twisted", "lanes_at_infinity",
+               "two_by_discriminant", "frobenius_lanes", "sylow_sampled")
 
 
 class CheckpointCorrupt(Exception):

@@ -13,7 +13,8 @@ keeps one lcm of point orders for each side until a unique candidate
 survives.  The census asks `group_orders` for a chunk of primes at once:
 it runs baby-step giant-step for a slice of primes together in numpy
 uint64 lanes (Jacobian coordinates, one inversion per lane), slices
-sized by their baby tables, and hands every prime the lanes do not
+sized by their baby tables, scans the lanes the first pass leaves open
+once more on their next point, and hands every prime the lanes do not
 settle to `group_order`, the only fallback.  Neither needs a square
 root: for c = f(x0) they scan the point (x0 c, c^2) of
 y^2 = x^3 + a c^2 x + b c^3, which is the curve or its quadratic twist
@@ -59,6 +60,7 @@ _EXHAUSTIVE_BELOW = 1 << 10
 _SAMPLE_BUDGET = 16         # points on the curve and its twist before IterationCap
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
+_LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
 
 
@@ -239,18 +241,13 @@ def random_point(C: ReducedCurve, seed: int):
 
 
 def _order_exhaustive(p, a, b):
-    # quadratic-residue table; total points = 1 + sum over x of (1 + chi(rhs))
-    qr = bytearray(p)
-    for y in range((p + 1) // 2):
-        qr[y * y % p] = 1
-    n = 1
-    for x in range(p):
-        z = (x * x % p * x + a * x + b) % p
-        if z == 0:
-            n += 1
-        elif qr[z]:
-            n += 2
-    return n
+    # one quadratic-character table and one vector of x^3 + ax + b for
+    # residues a, b: total points = 1 + sum over x of (1 + chi(rhs))
+    x = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[x * x % p] = 1
+    chi[0] = 0
+    return p + 1 + int(chi[(x * x % p * x + a * x + b) % p].sum())
 
 
 def _window_annihilators(P, p, a, lo, hi):
@@ -373,13 +370,28 @@ def group_order(C: ReducedCurve) -> int:
 # the point at infinity both give Z = 0, which every later step keeps.  The
 # giant chain tells the two apart where that is safe; every other lane with
 # Z = 0 anywhere is left to the scalar path.
+#
+# Each formula is written once, as sums of terms plus multiples of p with
+# one % per sum; _mul and _dif form the terms by the slice's reduction
+# rule.  A slice whose primes lie below _LAZY_BELOW = 2**21 is lazy: a
+# product of three residues stays below 2**63, so a term is an unreduced
+# product of up to three residues, a difference u - v inside a product is
+# u + p - v, and every sum stays below 2**64.  Above, a term is reduced on
+# the spot and so is a difference, so a sum of a few terms stays below
+# 2**36.
 
 
-def _sub(u, v, p):
-    """u - v mod p for residues u, v.  When r = u + p - v is below p,
-    r - p wraps past 2**64, so the smaller of the two is the residue."""
+def _mul(u, v, p, lazy):
+    """The product u * v as a term of a sum: as it is when lazy, else its residue."""
+    return u * v if lazy else u * v % p
+
+
+def _dif(u, v, p, lazy):
+    """u - v for residues u, v as a factor of a product: r = u + p - v
+    when lazy, else its residue.  When r is below p, r - p wraps past
+    2**64, so the smaller of the two is the residue."""
     r = u + p - v
-    return np.minimum(r, r - p)
+    return r if lazy else np.minimum(r, r - p)
 
 
 def _lane_pow(u, e, p):
@@ -401,49 +413,62 @@ def _lane_residues(A, p):
     return np.where(r == 0, r, p - r) if A < 0 else r
 
 
-def _jdbl(X, Y, Z, a, p):
+def _jdbl(X, Y, Z, a, p, lazy):
     """2(X : Y : Z) on y^2 = x^3 + ax + b."""
     XX = X * X % p
     YY = Y * Y % p
     ZZ = Z * Z % p
-    S = 4 * X % p * YY % p
-    M = (3 * XX + a * (ZZ * ZZ % p) % p) % p
-    X3 = _sub(_sub(M * M % p, S, p), S, p)
-    Y3 = _sub(M * _sub(S, X3, p) % p, 8 * (YY * YY % p) % p, p)
-    return X3, Y3, 2 * Y % p * Z % p
+    S = 4 * _mul(X, YY, p, lazy) % p
+    M = (3 * XX + _mul(a, _mul(ZZ, ZZ, p, lazy), p, lazy)) % p
+    X3 = (_mul(M, M, p, lazy) + 2 * (p - S)) % p
+    Y3 = (_mul(M, _dif(S, X3, p, lazy), p, lazy) + 8 * _mul(YY, p - YY, p, lazy)) % p
+    return X3, Y3, 2 * _mul(Y, Z, p, lazy) % p
 
 
-def _jmadd(X, Y, Z, x, y, p):
+def _jmadd(X, Y, Z, x, y, p, lazy):
     """(X : Y : Z) + (x, y), the second point affine.
 
     With Z != 0 the result has Z3 = Z * H, so Z3 = 0 exactly when both
     points share x.  Then X3 = R^2: nonzero when the y differ (the sum is
     at infinity), zero when the points are equal (the doubling case)."""
     ZZ = Z * Z % p
-    H = _sub(x * ZZ % p, X, p)
-    R = _sub(y * (ZZ * Z % p) % p, Y, p)
+    H = (_mul(x, ZZ, p, lazy) + p - X) % p
+    R = (_mul(_mul(y, ZZ, p, lazy), Z, p, lazy) + p - Y) % p
     HH = H * H % p
     HHH = H * HH % p
     V = X * HH % p
-    X3 = _sub(_sub(R * R % p, HHH, p), 2 * V % p, p)
-    Y3 = _sub(R * _sub(V, X3, p) % p, Y * HHH % p, p)
+    X3 = (_mul(R, R, p, lazy) + 3 * p - HHH - 2 * V) % p
+    Y3 = (_mul(R, _dif(V, X3, p, lazy), p, lazy) + _mul(Y, p - HHH, p, lazy)) % p
     return X3, Y3, Z * H % p
 
 
-def _jmul(k, x, y, a, p):
-    """k*(x, y) per lane for int64 scalars 1 <= k < 2**53, left to right."""
-    top = np.frexp(k.astype(np.float64))[1] - 1  # exact: k is a float64 integer
-    X, Y, Z = x, y, np.ones_like(x)
-    for bit in range(int(top.max()) - 1, -1, -1):
-        D = _jdbl(X, Y, Z, a, p)
-        A = _jmadd(*D, x, y, p)
-        add = (k >> bit) & 1 == 1
-        live = top > bit
-        X, Y, Z = (np.where(live, np.where(add, u, v), w) for u, v, w in zip(A, D, (X, Y, Z)))
+def _ladder(k, tx, ty, a, p, lazy):
+    """k*P per lane, Jacobian, for int64 scalars k >= 1, from the affine
+    table tx[j - 1], ty[j - 1] = j*P for 1 <= j <= m.
+
+    Left to right over the base-2^w digits of k, 2^w - 1 <= m: w doublings
+    per digit, then one mixed addition of the digit's table point where
+    the digit is nonzero.  Each lane starts at its own leading digit."""
+    w = (len(tx) + 1).bit_length() - 1
+    lane = np.arange(len(p))
+    one = np.ones_like(p)
+    top = (int(k.max()).bit_length() - 1) // w * w
+    d = k >> top
+    X, Y, Z = tx[d - 1, lane], ty[d - 1, lane], one
+    started = d != 0
+    for shift in range(top - w, -1, -w):
+        for _ in range(w):
+            X, Y, Z = _jdbl(X, Y, Z, a, p, lazy)
+        d = (k >> shift) & ((1 << w) - 1)
+        x, y = tx[d - 1, lane], ty[d - 1, lane]
+        A = _jmadd(X, Y, Z, x, y, p, lazy)
+        X, Y, Z = (np.where(d == 0, u, np.where(started, v, t))
+                   for u, v, t in zip((X, Y, Z), A, (x, y, one)))
+        started |= d != 0
     return X, Y, Z
 
 
-def _to_affine(P, p):
+def _to_affine(P, p, lazy):
     """Turn the Jacobian points stacked along axis 1 of P = (X, Y, Z) into
     affine x and y in place, with one inversion per lane (Montgomery's
     trick, the inverse by Fermat), and return the lanes whose every Z is
@@ -463,9 +488,10 @@ def _to_affine(P, p):
     Z %= p
     X *= Z
     X %= p
-    Z *= inv_z
-    Z %= p
     Y *= Z
+    if not lazy:  # _mul's rule, in place: y = Y zi^2 zi is one lazy term
+        Y %= p
+    Y *= inv_z
     Y %= p
     return ok
 
@@ -482,19 +508,21 @@ def _lane_orders(ps, As, xs, ys):
     P = (xs[i], ys[i]), ys[i] != 0.  Babies are j*P for 1 <= j <= m;
     giants are k*P for k = c0 + i*(2m + 1), c0 = lo + m, so each giant's x
     meets the baby at every offset in [-m, m] but 0, and the y signs say
-    which.  A giant exactly at infinity is the offset-0 hit: its k is an
-    annihilator, and since k*P = O the chain goes on at S = (2m + 1)P and
-    2S.  Only a sum whose points share x and y differ is read so (H = 0,
-    R != 0 in _jmadd); the doubling case, and a c0*P at infinity out of
-    _jmul, may hide a degenerate step and leave the lane to the scalar
-    path.  With ord(P) > 2m + 1 the babies' x are distinct and each match
-    is one annihilator of P; the window's multiples of ord(P) are all
-    among them.  Returns per lane that multiple when it is unique, else 0,
-    and counts: lanes not settled by reason, and lanes settled by a giant
-    at infinity (lanes_at_infinity).
+    which.  c0*P comes from _ladder on the affine baby table.  A giant
+    exactly at infinity is the offset-0 hit: its k is an annihilator, and
+    since k*P = O the chain goes on at S = (2m + 1)P and 2S.  Only a sum
+    whose points share x and y differ is read so (H = 0, R != 0 in
+    _jmadd); the doubling case, and a step of the ladder that meets
+    infinity, may hide a degenerate step and leave the lane open.  With
+    ord(P) > 2m + 1 the babies' x are distinct and each match is one
+    annihilator of P; the window's multiples of ord(P) are all among them.
+    Returns per lane that multiple when it is unique, else 0, and counts:
+    lanes not settled by reason, and lanes settled by a giant at infinity
+    (lanes_at_infinity).
     """
     p, a, x, y = (np.asarray(v, dtype=np.uint64) for v in (ps, As, xs, ys))
     n = len(p)
+    lazy = int(p.max()) < _LAZY_BELOW
     t = np.sqrt(4 * p.astype(np.float64)).astype(np.int64)  # isqrt(4p), exact below 2**52
     lo = p.astype(np.int64) + 1 - t
     hi = lo + 2 * t
@@ -505,11 +533,13 @@ def _lane_orders(ps, As, xs, ys):
     # rows j < m hold (j + 1)P, row m the giant stride S = (2m + 1)P
     B = np.empty((3, m + 1, n), dtype=np.uint64)
     B[0, 0], B[1, 0], B[2, 0] = x, y, 1
-    B[:, 1] = _jdbl(x, y, B[2, 0], a, p)
+    B[:, 1] = _jdbl(x, y, B[2, 0], a, p, lazy)
     for j in range(2, m):
-        B[:, j] = _jmadd(*B[:, j - 1], x, y, p)
-    B[:, m] = _jmadd(*_jdbl(*B[:, m - 1], a, p), x, y, p)
-    small = ~_to_affine(B, p)  # some Z = 0: ord(P) <= 2m + 1
+        B[:, j] = _jmadd(*B[:, j - 1], x, y, p, lazy)
+    B[:, m] = _jmadd(*_jdbl(*B[:, m - 1], a, p, lazy), x, y, p, lazy)
+    small = ~_to_affine(B, p, lazy)  # some Z = 0: ord(P) <= 2m + 1
+    c0 = lo + m
+    start = _ladder(c0, B[0, :m], B[1, :m], a, p, lazy)
     S = np.stack([B[0, m], B[1, m], np.ones_like(p)])
     by = B[1].copy()
 
@@ -524,19 +554,18 @@ def _lane_orders(ps, As, xs, ys):
     twice = (bkey[1:] >> 16) == (bkey[:-1] >> 16)  # two babies on one x: ord(P) <= 2m
     small[(bkey[1:][twice] >> 48).astype(np.intp)] = True
 
-    c0 = lo + m
     G = np.empty((3, -(-width // stride), n), dtype=np.uint64)
-    G[:, 0] = _jmul(c0, x, y, a, p)
+    G[:, 0] = start
     inf = np.zeros(G.shape[1:], dtype=bool)  # giants exactly at infinity
-    restart = ((1, S), (2, np.stack(_jdbl(*S, a, p))))
+    restart = ((1, S), (2, np.stack(_jdbl(*S, a, p, lazy))))
     for i in range(1, G.shape[1]):
-        G[:, i] = _jmadd(*G[:, i - 1], *S[:2], p)
+        G[:, i] = _jmadd(*G[:, i - 1], *S[:2], p, lazy)
         for back, T in restart[:i]:
             if inf[i - back].any():
                 G[:, i, inf[i - back]] = T[:, inf[i - back]]
         inf[i] = (G[2, i] == 0) & (G[0, i] != 0) & (G[2, i - 1] != 0)
     G[2][inf] = 1  # keeps the lane's batch inversion; the slot's x is unused
-    g_ok = _to_affine(G, p)
+    g_ok = _to_affine(G, p, lazy)
 
     # a giant key (lane, x, 0) meets the first baby key at or above it; the
     # keys go in G[2], free after _to_affine
@@ -580,6 +609,31 @@ def _lane_orders(ps, As, xs, ys):
                     "lanes_at_infinity": int((at_inf & (orders > 0)).sum())}
 
 
+def _lane_pass(p, a, b, s, stats):
+    """One lane scan of the primes p with coefficient residues a and b:
+    each lane draws its next point from its tag-1 stream state in s,
+    which advances in place.  Returns the orders, 0 where the lane stays
+    open; stats receives _lane_orders' counts and lanes_twisted."""
+    x = np.zeros_like(p)
+    redo = np.ones(len(p), dtype=bool)
+    while redo.any():  # x0^3 + a x0 + b has at most three roots
+        s[redo], z = _next64(s[redo])
+        x[redo] = z % p[redo]
+        c = (x * x % p * x % p + a * x % p + b) % p
+        redo = c == 0
+    cc = c * c % p
+    ac, xc = a * cc % p, x * c % p
+    twisted = _lane_pow(c, (p - 1) >> 1, p) != 1
+    n = np.empty(len(p), dtype=np.int64)
+    slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
+    for k in range(slices):
+        part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
+        n[part], why = _lane_orders(p[part], ac[part], xc[part], cc[part])
+        stats.update(why)
+    stats["lanes_twisted"] += int(twisted.sum())
+    return np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n)
+
+
 def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     """group_order of y^2 = x^3 + Ax + B at each prime, all of good reduction.
 
@@ -593,14 +647,17 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     quadratic twist of E otherwise; one powmod c^((p-1)/2) tells which,
     and a twist's settled order n_c maps back to 2p + 2 - n_c.  A lane
     settles by the scalar rule: exactly one multiple of the point's order
-    in the Hasse window.  Every other prime goes to group_order.
+    in the Hasse window.  The lanes the first pass leaves open draw their
+    next point from the same stream and are scanned again in a second
+    lane pass; every prime still open goes to group_order.
 
     stats, a Counter when given, receives the number of orders settled in
-    lanes (orders_batched), of lanes on the twist (lanes_twisted) and of
-    lanes settled by a giant at infinity (lanes_at_infinity), and the
-    orders left to group_order (orders_scalar) by reason: p outside the
-    lane range (scalar_p_range), a point of order at most 2m + 1
-    (scalar_small_order), a degenerate step or a c0*P at infinity
+    lanes (orders_batched), of lanes scanned again (lanes_retried), of
+    lanes on the twist (lanes_twisted) and of lanes settled by a giant at
+    infinity (lanes_at_infinity), both summed over the two passes, and
+    the orders left to group_order (orders_scalar) by reason: p outside
+    the lane range (scalar_p_range), and, as the second pass found it, a
+    point of order at most 2m + 1 (scalar_small_order), a degenerate step
     (scalar_degenerate), and several multiples in the window
     (scalar_multiples).
     """
@@ -612,24 +669,14 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
         p = np.array([primes[i] for i in index], dtype=np.uint64)
         a, b = _lane_residues(A, p), _lane_residues(B, p)
         s = _mix_seed(p, a, b, 1)
-        x = np.zeros_like(p)
-        redo = np.ones(len(p), dtype=bool)
-        while redo.any():  # x0^3 + a x0 + b has at most three roots
-            s[redo], z = _next64(s[redo])
-            x[redo] = z % p[redo]
-            c = (x * x % p * x % p + a * x % p + b) % p
-            redo = c == 0
-        cc = c * c % p
-        ac, xc = a * cc % p, x * c % p
-        twisted = _lane_pow(c, (p - 1) >> 1, p) != 1
-        n = np.empty(len(p), dtype=np.int64)
-        slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
-        for k in range(slices):
-            part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
-            n[part], why = _lane_orders(p[part], ac[part], xc[part], cc[part])
-            counts.update(why)
-        n = np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n)
-        counts["lanes_twisted"] = int(twisted.sum())
+        first = Counter()
+        n = _lane_pass(p, a, b, s, first)
+        # the second pass's reasons are the ones that reach group_order
+        counts.update({k: v for k, v in first.items() if k.startswith("lanes_")})
+        retry = np.flatnonzero(n == 0)
+        counts["lanes_retried"] = len(retry)
+        if len(retry):
+            n[retry] = _lane_pass(p[retry], a[retry], b[retry], s[retry], counts)
         for i, order in zip(index, n.tolist()):
             out[i] = order
     counts["orders_batched"] = sum(1 for order in out if order)
@@ -693,11 +740,11 @@ def _lane_x_power_is_x(low, p):
     for bit in range(int(p.max()).bit_length() - 1, -1, -1):
         sq = np.zeros((2 * k, n), dtype=np.uint64)
         for i in range(k):
-            sq[i : i + k] += r[i] * r if lazy else r[i] * r % p
+            sq[i : i + k] += _mul(r[i], r, p, lazy)
         sq = np.where((p >> bit) & 1 == 1, np.roll(sq, 1, axis=0), sq)
         r, high = sq[:k], sq[k:] % p
         for j in range(k):
-            r += high[j] * fold[j] if lazy else high[j] * fold[j] % p
+            r += _mul(high[j], fold[j], p, lazy)
         r %= p
     return (r[1] == 1) & ~r[0].astype(bool) & ~r[2:].any(axis=0)
 
@@ -715,12 +762,14 @@ def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> list[dict[
     make n = det(1 - Frobenius) = det(2I) = 4 mod l, which l | n rules
     out, so the test is true exactly when E[l] is rational.
 
-    m = 4 is a candidate when p = 1 mod 4 and 16 | n.  The test says
-    Frobenius sends each point of exact order 4 to itself or its
-    negative, hence fixes E[2], and acts on E[4] as I or -I mod 4.  With
-    Frobenius = -I + 4N, n = det(2I - 4N) = 4 det(I - 2N), whose second
-    factor is odd, so v_2(n) = 2, which 16 | n rules out: the test is
-    true exactly when E[4] is rational.
+    m = 4 is a candidate when p = 1 mod 4, 16 | n and the discriminant
+    of the cubic is a square mod p; group_structure settles l = 2 from
+    the discriminant otherwise.  The test says Frobenius sends each point
+    of exact order 4 to itself or its negative, hence fixes E[2], and
+    acts on E[4] as I or -I mod 4.  With Frobenius = -I + 4N,
+    n = det(2I - 4N) = 4 det(I - 2N), whose second factor is odd, so
+    v_2(n) = 2, which 16 | n rules out: the test is true exactly when
+    E[4] is rational.
 
     psi_3 and psi_5 have leading coefficient 3 and 5; a lane makes them
     monic by l^-1 = p - (p - 1)/l, as l | p - 1.  stats, a Counter when
@@ -732,6 +781,11 @@ def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> list[dict[
     polys = _division_polynomials(A, B)
     for m, square in ((3, 9), (4, 16), (5, 25)):
         lanes = np.flatnonzero((p % m == 1) & (n % square == 0) & (p < _LANE_LIMIT))
+        if m == 4 and len(lanes):
+            # -(4A^3 + 27B^2) is a square with 4A^3 + 27B^2, as p = 1 mod 4
+            q = p[lanes].astype(np.uint64)
+            disc = _lane_residues(4 * A**3 + 27 * B * B, q)
+            lanes = lanes[_lane_pow(disc, (q - 1) >> 1, q) == 1]
         if not len(lanes):
             continue
         q = p[lanes].astype(np.uint64)

@@ -309,6 +309,7 @@ def test_workers_agree(tmp_path, monkeypatch):
     assert sum(solo.extra[k] for k in reasons) == solo.extra["orders_scalar"]
     assert solo.extra["scalar_p_range"] > 0
     assert solo.extra["lanes_twisted"] > 0 and "lanes_at_infinity" in solo.extra
+    assert solo.extra["lanes_retried"] > 0
     # the lanes decide full 3-, 4- and 5-torsion, the sampler what they leave
     assert solo.extra["frobenius_lanes"] > solo.extra["sylow_sampled"] > 0
 

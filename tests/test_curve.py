@@ -120,12 +120,16 @@ def test_random_point_deterministic():
 
 
 def test_group_order_small_matches_enumeration():
-    for p in (5, 7, 11, 13, 17):
-        for a, b in ((1, 1), (2, 3), (0, 1), (4, 4)):
-            if (4 * a**3 + 27 * b**2) % p == 0:
-                continue
-            C = ReducedCurve(p, a, b)
-            assert group_order(C) == len(brute_points(p, a, b))
+    # Below 2^10 group_order is _order_exhaustive, the oracle of three other
+    # tests here: four curves at the smallest primes, and two curves at
+    # every prime 5 <= p < 2^10.
+    cases = [(p, a, b) for p in (5, 7, 11, 13, 17) for a, b in ((1, 1), (2, 3), (0, 1), (4, 4))]
+    cases += [(p, A % p, B % p) for A, B in (FIVE_CURVES[0], FIVE_CURVES[2])
+              for p in sieve_primes((1 << 10) - 1) if p >= 5]
+    for p, a, b in cases:
+        if (4 * a**3 + 27 * b**2) % p == 0:
+            continue
+        assert group_order(ReducedCurve(p, a, b)) == len(brute_points(p, a, b)), (p, a, b)
 
 
 def test_group_order_bsgs_matches_exhaustive():
@@ -209,6 +213,7 @@ def _primes_below(top, count):
 def test_lane_orders_match_group_order():
     # Every good prime up to 2*10^4 of the registry curves and of seeded
     # random curves, two of them with coefficients above 10^12, and bands
+    # just below and just above 2^21, where the lanes' lazy sums end, and
     # just below 2^31 and 2^32, where residue products come closest to
     # 2^64.  Every route to the scalar path is taken at least once, lanes
     # scan points on the curve and on its twist, and giants at infinity
@@ -221,7 +226,8 @@ def test_lane_orders_match_group_order():
     low = sieve_primes(20_000)
     bands = [(E, low) for E in curves]
     bands += [(E, _primes_below(top, 100)) for E in (curves[0], curves[-1])
-              for top in (1 << 31, 1 << 32)]
+              for top in (1 << 21, (1 << 21) + 3000, 1 << 31, 1 << 32)]
+    assert bands[-3][1][0] > 1 << 21 > bands[-4][1][-1]
     bands.append((curves[1], [p for p in low if p > 10_000][:5]))  # five lanes
     routes = Counter()
     for E, primes in bands:
@@ -239,6 +245,9 @@ def test_lane_orders_match_group_order():
     assert routes["orders_batched"] > 0.85 * scanned
     assert 0 < routes["lanes_twisted"] < scanned
     assert 0 < routes["lanes_at_infinity"] < routes["orders_batched"]
+    # the second pass, on each open lane's next point, settles most of them
+    left = scanned - routes["orders_batched"]
+    assert 0 < left < routes["lanes_retried"] / 4
 
 
 def test_lane_giant_at_infinity_settles():
@@ -271,6 +280,41 @@ def test_lane_doubling_case_falls_back():
     assert list(orders) == [0]
     assert why == {"scalar_small_order": 0, "scalar_degenerate": 1, "scalar_multiples": 0,
                    "lanes_at_infinity": 0}
+
+
+def test_ladder_matches_scalar_multiplication():
+    # _lane_orders' windowed c0*P on random lanes below 2^21 (lazy sums)
+    # and near 2^31: a table of j*P for j <= 11 (base-8 digits), scalars of
+    # one to six digits with zero digits among them.  Wherever a lane's
+    # result is finite it is k*P.
+    rng = random.Random(17)
+    m = 11
+    for top in (1 << 20, 1 << 31):
+        lanes = []
+        while len(lanes) < 60:
+            p = rng.randrange(top // 2, top) | 1
+            a, b = rng.randrange(p), rng.randrange(p)
+            if not is_prime(p) or (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            P = random_point(ReducedCurve(p, a, b), rng.randrange(1 << 30))
+            table = [curve._mul_raw(j, P, p, a) for j in range(1, m + 1)]
+            if P[1] and None not in table:
+                digits = [rng.randrange(1, 8)] + [rng.choice((0, rng.randrange(8)))
+                                                  for _ in range(len(lanes) % 6)]
+                lanes.append((p, a, P, table, int("".join(map(str, digits)), 8)))
+        p, a, k = (np.array([lane[i] for lane in lanes]) for i in (0, 1, 4))
+        tx, ty = (np.array([[Q[i] for Q in lane[3]] for lane in lanes], dtype=np.uint64).T
+                  for i in (0, 1))
+        assert any("0" in oct(v)[2:] for v in k.tolist())
+        X, Y, Z = (v.tolist() for v in curve._ladder(
+            k, tx, ty, a.astype(np.uint64), p.astype(np.uint64), top < 1 << 21))
+        finite = 0
+        for (q, c, P, _, s), x, y, z in zip(lanes, X, Y, Z):
+            if z:
+                zi = pow(z, -1, q)
+                assert (x * zi**2 % q, y * zi**3 % q) == curve._mul_raw(s, P, q, c), (q, s)
+                finite += 1
+        assert finite >= 55, finite
 
 
 def test_splitmix64_known_answers():

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: census, density, entangle, galois, constants.  Exit codes:
-0 success, 2 usage or input errors, 3 expected-value mismatch on a
-registry curve, 4 I/O failures, 130 a census interrupted (SIGINT).
+0 success, 2 usage or input errors (an input too large to fit in memory
+among them), 3 expected-value mismatch on a registry curve, 4 I/O
+failures, 130 a census interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -294,7 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        return _fail(f"{args.command}: out of memory", EXIT_USAGE)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Exact rational and interval arithmetic for cyclic-reduction densities.
 
-Infinite Euler products are returned as rational intervals with proven
-tail bounds.  The truncated product runs in directed-rounding fixed point,
-so its endpoints are dyadic rationals k / 2**256 rounded outward, with
-the 1/L^3 tail folded into the lower one.  Every correction factor stays
-an exact Fraction, so that vanishing is decided by exact arithmetic,
-never by a float comparison.
+Every density is the everywhere-maximal constant A_inf, the product over
+all primes l of 1 - 1/#GL_2(F_l), times an exact rational: the ratio of
+each annotated Euler factor to its maximal one, and the entanglement
+corrections.  A_inf alone is enclosed, by one truncated product in
+directed-rounding fixed point, so its endpoints are dyadic rationals
+k / 2**256 rounded outward, with the 1/L^3 tail folded into the lower
+one.  Every other factor stays an exact Fraction, so that vanishing is
+decided by exact arithmetic, never by a float comparison.
 """
 
 from __future__ import annotations
@@ -70,31 +72,13 @@ class Interval:
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
     def encloses(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def scale(self, r) -> "Interval":
+        """The interval times a non-negative rational r."""
         r = Fraction(r)
-        if r >= 0:
-            return Interval(self.lo * r, self.hi * r)
-        return Interval(self.hi * r, self.lo * r)
-
-    def __mul__(self, other):
-        if isinstance(other, Interval):
-            cands = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return Interval(min(cands), max(cands))
-        return self.scale(other)
-
-    __rmul__ = __mul__
+        return Interval(self.lo * r, self.hi * r)
 
     def decimal_bounds(self, digits: int = 20) -> tuple[str, str]:
         """Decimal renderings of both endpoints, truncated toward zero.
@@ -207,33 +191,26 @@ SCALE_BITS = 256
 _ONE = 1 << SCALE_BITS
 
 
-def _euler_product(L: int, degrees: dict[int, int], omit=frozenset()) -> Interval:
-    """Enclosure of the product over all primes l of 1 - 1/[K_l : K].
+def artin_constant(L: int) -> Interval:
+    """Enclosure of the everywhere-maximal density constant A_inf, the
+    product over all primes l of 1 - 1/((l^2-1)(l^2-l)), truncated at L.
 
-    A prime l <= L contributes 1 - 1/degrees[l] when annotated and
-    1 - 1/gl2_order(l) otherwise; primes in omit contribute nothing.
-    Primes beyond L are maximal, and their factors are bounded below by
-    1 - 1/L^3: the sum over integers n > L of 1/((n^2-1)(n^2-n))
-    telescopes below 1/L^3, each term being at most 1/(n-1)^3 - 1/n^3.
+    Primes beyond L have factors bounded below by 1 - 1/L^3: the sum
+    over integers n > L of 1/((n^2-1)(n^2-n)) telescopes below 1/L^3,
+    each term being at most 1/(n-1)^3 - 1/n^3.
 
     The product runs in fixed point, on integers scaled by 2**SCALE_BITS:
     lo is rounded down and hi up at every factor, and the tail is folded
     into lo, rounded down, so both endpoints are dyadic rationals
     k / 2**SCALE_BITS.  Each rounding costs at most one unit, and a unit
-    stays below the 1/L^3 tail for every L <= 2**32.  A degree of 1 makes
-    both endpoints, and so the product, exactly zero.
+    stays below the 1/L^3 tail for every L <= 2**32.
     """
-    special = dict(degrees)
-    special.update(dict.fromkeys(omit))
+    if L < 2:
+        raise ValueError("truncation bound must be at least 2")
     lo = hi = _ONE
     for l in sieve_primes(L):
-        if l in special:
-            d = special[l]
-            if d is None:
-                continue
-        else:
-            ll = l * l
-            d = (ll - 1) * (ll - l)
+        ll = l * l
+        d = (ll - 1) * (ll - l)
         # x (d - 1) / d = x - x / d: floor for lo, ceiling for hi
         lo -= -(-lo // d)
         hi -= hi // d
@@ -241,23 +218,13 @@ def _euler_product(L: int, degrees: dict[int, int], omit=frozenset()) -> Interva
     return Interval(Fraction(lo, _ONE), Fraction(hi, _ONE))
 
 
-def artin_constant(L: int) -> Interval:
-    """Enclosure of the everywhere-maximal density constant, the product
-    of 1 - 1/((l^2-1)(l^2-l)) over all primes, truncated at L."""
-    if L < 2:
-        raise ValueError("truncation bound must be at least 2")
-    return _euler_product(L, {})
-
-
 def naive_density(profile: DegreeProfile, L: int = 10**5) -> Interval:
     """Enclosure of the independence-model density: the Euler product of
     1 - 1/[K_l : K] over all primes, with the profile's degrees
-    substituted.  The truncation point is raised to cover every
-    annotated prime so no substitution is lost to the tail."""
-    if L < 2:
-        raise ValueError("truncation bound must be at least 2")
-    L = max(L, max(profile.annotated_primes(), default=0))
-    return _euler_product(L, profile.degrees)
+    substituted.  That is A_inf times the exact ratio c_factor(profile, 1)
+    of the annotated Euler factors to their maximal ones, wherever the
+    annotated primes lie relative to L."""
+    return artin_constant(L).scale(c_factor(profile, 1))
 
 
 def delta_partial(n: int, profile: DegreeProfile) -> Fraction:
@@ -278,19 +245,20 @@ def delta_factored(
     N: int, deltaN: Fraction, profile: DegreeProfile, L: int = 10**5
 ) -> Interval:
     """Enclosure of deltaN times the maximal Euler product over primes
-    not dividing N.  Sound only when every annotated prime divides N;
-    a leak raises ProfileLeak instead of silently double-counting."""
+    not dividing N: A_inf divided by the maximal factors at the primes
+    of N, an exact rational.  Sound only when every annotated prime
+    divides N; a leak raises ProfileLeak instead of silently
+    double-counting."""
     if N < 1 or any(e > 1 for _, e in factorize(N)):
         raise ValueError("modulus must be a positive squarefree integer")
-    if L < 2:
-        raise ValueError("truncation bound must be at least 2")
     for l in sorted(profile.annotated_primes()):
         if N % l != 0:
             raise ProfileLeak(f"annotated prime {l} does not divide {N}")
     deltaN = Fraction(deltaN)
     if deltaN < 0:
         raise ValueError("density at the modulus cannot be negative")
-    return _euler_product(L, {}, {q for q, _ in factorize(N)}).scale(deltaN)
+    maximal_at_N = prod(1 - Fraction(1, gl2_order(q)) for q, _ in factorize(N))
+    return artin_constant(L).scale(deltaN / maximal_at_N)
 
 
 def charsum_alpha(degrees: dict[int, int]) -> Fraction:
@@ -423,18 +391,14 @@ def build_density_report(
 ) -> DensityReport:
     """Assemble the full density picture for one profile.
 
-    The truncation point is raised to cover every annotated prime, so the
-    substituted product equals the maximal product times the exact ratio
-    c_factor(profile, 1) of the annotated Euler factors.  One product is
-    evaluated, and naive and delta are exact rational rescalings of it;
-    naive_density evaluates the substituted product directly.
+    One product, A_inf truncated at L, is evaluated; naive and delta are
+    its exact rational rescalings by c_factor(profile, 1) and by c, so an
+    annotated prime above L enters by its exact ratio.
 
-    The provenance records the version, the method, the effective
-    truncation, the fixed-point scale and the width of the delta
-    enclosure; entries passed in are added to it.
+    The provenance records the version, the method, the truncation L,
+    the fixed-point scale and the width of the delta enclosure; entries
+    passed in are added to it.
     """
-    ann = profile.annotated_primes()
-    L = max(L, max(ann, default=0), 2)
     a_inf = artin_constant(L)
     if profile.charsum:
         cs = charsum_alpha({l: profile.degree(l) for l in sorted(profile.charsum)})

@@ -132,17 +132,20 @@ def sieve_primes(x: int) -> list[int]:
         raise ValueError("sieve bound must be at least 2")
     if x > SIEVE_LIMIT:
         raise LimitTooLarge(f"sieve bound {x} exceeds 2**32")
-    # index i represents the odd number 2*i + 1
+    # index i represents the odd number 2*i + 1, marked when composite.
+    # Marks start as zeros because a failed bytearray(half) raises a plain
+    # MemoryError, where a failed bytearray([1]) * half also prints a stray
+    # SystemError on CPython 3.11.
     half = (x + 1) // 2
-    marks = bytearray([1]) * half
-    marks[0] = 0  # 1 is not prime
+    marks = bytearray(half)
+    marks[0] = 1  # 1 is not prime
     for i in range(1, min(half, (isqrt(x) + 1) // 2 + 1)):
-        if marks[i]:
+        if not marks[i]:
             step = 2 * i + 1
             start = (step * step) // 2
-            marks[start::step] = bytearray(len(range(start, half, step)))
+            marks[start::step] = b"\x01" * len(range(start, half, step))
     out = [2] if x >= 2 else []
-    out.extend(2 * i + 1 for i in range(1, half) if marks[i])
+    out.extend(2 * i + 1 for i in range(1, half) if not marks[i])
     return out
 
 

@@ -288,6 +288,22 @@ def test_cli_density_ingest(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_density_annotated_prime_near_2_32(tmp_path, capsys):
+    # an annotated prime above the truncation enters by its exact ratio,
+    # with no sieve up to it, and the report records the truncation asked for
+    prof_path = tmp_path / "prof.json"
+    prof_path.write_text(json.dumps({"degrees": {"4294967291": 2}}))
+    out_path = tmp_path / "density.json"
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "density", "--profile", str(prof_path),
+                           "--truncation", "100", "--output", str(out_path))
+    assert code == 0 and "vanishing: positive" in out
+    assert time.monotonic() - start < 10
+    doc = json.loads(out_path.read_text())
+    assert doc["truncation"] == doc["provenance"]["truncation"] == 100
+    assert doc["profile"]["degrees"] == {"4294967291": 2}
+
+
 def test_cli_density_output_at_default_truncation(tmp_path, capsys):
     for label in LABELS:
         out_path = tmp_path / f"{label}.json"
@@ -325,7 +341,7 @@ def test_cli_density_profile_errors(tmp_path, capsys, doc, reason):
 
 
 _EDGE_KEYS = ["2", "3", "5", "7", "11", "13", "19", "997", "1", "0", "-3", "4",
-              "x", "4294967311", str(10**30), "1e3"]
+              "x", "4294967311", str(10**30), "1e3", "10000019", "4294967291"]
 _EDGE_VALUES = [1, 2, 3, 4, 48, 123119, 0, -1, 10**30, 10**1500, "7", "x", None,
                 1.5, True, [], {}]
 _EDGE_TRUNCATIONS = ["-5", "0", "1", "2", "3", "97", "1000", "4294967297",
@@ -369,8 +385,7 @@ def _sweep_cli(argv, capsys):
 
 
 def test_cli_density_and_constants_edge_sweep(tmp_path, capsys):
-    # Accepted truncations stay small and annotated primes stay at most
-    # 997 or above 2**32, so no case sieves a large bound.
+    # Accepted truncations stay small, so no case sieves a large bound.
     rng = random.Random(2718)
     codes = []
     for i in range(150):
@@ -621,6 +636,28 @@ def test_cli_census_interrupt_exits_130(tmp_path):
     assert err == "error: interrupted\n" and out == ""
     spec = get_curve("serre-ex3")
     assert census._load_checkpoint(str(ck), spec.A, spec.B, census.DEFAULT_SPLIT_PRIMES)
+
+
+@pytest.mark.parametrize("argv", [
+    ("census", "--label", "serre-ex1", "--limit", "4294967296"),
+    ("constants", "--truncation", "4294967296"),
+    ("galois", "--label", "serre-ex1", "--l", "5", "--sample-bound", "4294967296"),
+])
+def test_cli_out_of_memory_exits_2(argv):
+    # A sieve up to 2**32 needs 2 GiB for its marks alone.  The child caps
+    # its own address space at 1.5 GiB after its imports.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import resource, sys\n"
+            "import cyclored.cli\n"
+            "cap = 3 << 29\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "sys.exit(cyclored.cli.main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {argv[0]}: out of memory\n"
 
 
 @pytest.mark.parametrize("argv, option", [

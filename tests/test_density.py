@@ -39,6 +39,20 @@ UNIT = F(1, 2**256)  # one step of the fixed-point Euler product
 TRUNCATIONS = (2, 100, 1000)
 
 
+def assert_rescaled_enclosure(iv, r, L, covering):
+    """iv is A_inf truncated at L times the exact factor r.  It encloses
+    the covering interval, an exact product taken at some L' >= L that
+    holds every substituted or omitted prime, and lies within pi(L) + 1
+    units, times r, of r times the exact maximal product at L.
+
+    The covering check is sound because P(L') (1 - 1/L'^3) is at least
+    P(L) (1 - 1/L^3), by the telescoping tail bound."""
+    lo, hi = covering
+    assert iv.lo <= lo and hi <= iv.hi, (iv, covering)
+    lo, hi = exact_euler_interval(L, gl2_order)
+    assert_tight_enclosure(iv, (r * lo, r * hi), L, r)
+
+
 def assert_tight_enclosure(iv, exact, L, scale=1):
     """iv encloses the exact interval (lo, hi), and each endpoint lies
     within pi(L) + 1 fixed-point units of the exact one, times the exact
@@ -64,8 +78,6 @@ def test_interval_basics():
     iv = Interval(F(1, 3), F(1, 2))
     assert iv.width == F(1, 6)
     assert iv.mid == F(5, 12)
-    assert iv.contains(F(2, 5))
-    assert not iv.contains(F(9, 10))
     assert Interval(F(0), F(1)).encloses(iv)
     assert not iv.encloses(Interval(F(0), F(1)))
     with pytest.raises(ValueError):
@@ -75,17 +87,14 @@ def test_interval_basics():
     assert pt.width == 0
 
 
-def test_interval_scale_and_mul():
+def test_interval_scale():
+    # every density factor is a non-negative rational
     iv = Interval(F(1, 3), F(1, 2))
     assert iv.scale(2) == Interval(F(2, 3), F(1))
-    flipped = iv.scale(-2)
-    assert (flipped.lo, flipped.hi) == (F(-1), F(-2, 3))
+    assert iv.scale(F(3, 4)) == Interval(F(1, 4), F(3, 8))
     assert iv.scale(0) == Interval.point(0)
-    prod = iv * Interval(F(2), F(3))
-    assert (prod.lo, prod.hi) == (F(2, 3), F(3, 2))
-    neg = Interval(F(-1), F(1)) * Interval(F(-2), F(3))
-    assert (neg.lo, neg.hi) == (F(-3), F(3))
-    assert 2 * iv == iv.scale(2)
+    with pytest.raises(ValueError):
+        iv.scale(-2)
 
 
 def test_interval_decimal_bounds():
@@ -181,24 +190,27 @@ def test_naive_density_no_annotations_is_artin():
         assert naive_density(prof, L) == artin_constant(L)
 
 
-def _effective_truncation(profile, L):
+def _covering_truncation(profile, L):
     return max(L, max(profile.annotated_primes(), default=0))
 
 
 def test_naive_density_substitutes_exactly():
     # the substituted product, against the exact product with the
-    # profile's degrees, on registry and random profiles
-    for prof in _profiles():
+    # profile's degrees taken far enough to hold every annotated prime,
+    # on registry and random profiles and one prime above every L
+    for prof in _profiles() + [DegreeProfile(degrees={3: 5, 1009: 2})]:
+        c1 = c_factor(prof, F(1))
         for L in TRUNCATIONS:
-            Le = _effective_truncation(prof, L)
-            assert_tight_enclosure(naive_density(prof, L),
-                                   exact_euler_interval(Le, prof.degree), Le)
+            Lc = _covering_truncation(prof, L)
+            assert_rescaled_enclosure(naive_density(prof, L), c1, L,
+                                      exact_euler_interval(Lc, prof.degree))
     # a degree-1 annotation zeroes the whole product
     assert naive_density(DegreeProfile(degrees={7: 1}), 50) == Interval.point(0)
-    # truncation is raised to cover annotated primes beyond L
-    prof19 = DegreeProfile(degrees={19: 123119})
-    iv = naive_density(prof19, 2)
-    assert iv.hi != artin_constant(2).hi
+    # an annotated prime above L enters by its exact ratio, without a sieve
+    # up to it
+    for l in (19, 4294967291):
+        prof = DegreeProfile(degrees={l: 2})
+        assert naive_density(prof, 2) == artin_constant(2).scale(c_factor(prof, F(1)))
 
 
 def test_delta_partial_examples():
@@ -246,16 +258,23 @@ def test_delta_partial_superfluous_cancellation():
     assert delta_partial(2, prof) == F(1, 2)
 
 
+def _maximal_at(N):
+    return math.prod((1 - F(1, gl2_order(q)) for q, _ in factorize(N)), start=F(1))
+
+
 def test_delta_factored_reassembly():
     # deltaN times the maximal product over primes not dividing N, where
     # deltaN is the product of the profile's Euler factors at the primes
-    # of N; against the exact product over the same primes
+    # of N; against the exact product over the same primes, taken far
+    # enough to hold every prime of N
     for prof in _profiles():
         N = math.prod({2, 3, 5} | prof.annotated_primes())
         dN = math.prod((1 - F(1, prof.degree(q)) for q, _ in factorize(N)), start=F(1))
         for L in TRUNCATIONS:
-            lo, hi = exact_euler_interval(L, gl2_order, skip=lambda l: N % l == 0)
-            assert_tight_enclosure(delta_factored(N, dN, prof, L), (dN * lo, dN * hi), L, dN)
+            Lc = max(L, max(q for q, _ in factorize(N)))
+            lo, hi = exact_euler_interval(Lc, gl2_order, skip=lambda l: N % l == 0)
+            assert_rescaled_enclosure(delta_factored(N, dN, prof, L), dN / _maximal_at(N),
+                                      L, (dN * lo, dN * hi))
     # with the level density of a profile multiplicative over the primes
     # of N, reassembling gives the substituted product: both routes
     # enclose the same exact interval
@@ -266,7 +285,7 @@ def test_delta_factored_reassembly():
     lo, hi = exact_euler_interval(L, gl2_order, skip=lambda l: N % l == 0)
     direct = exact_euler_interval(L, prof.degree)
     assert (dN * lo, dN * hi) == direct
-    assert_tight_enclosure(delta_factored(N, dN, prof, L), direct, L, dN)
+    assert_tight_enclosure(delta_factored(N, dN, prof, L), direct, L, dN / _maximal_at(N))
     assert_tight_enclosure(naive_density(prof, L), direct, L)
     with pytest.raises(ProfileLeak):
         delta_factored(15, F(1, 2), prof, 50)  # annotated prime 2 missing
@@ -305,9 +324,9 @@ def test_c_factor():
     for prof in _profiles():
         c = c_factor(prof, F(1))
         for L in TRUNCATIONS:
-            Le = _effective_truncation(prof, L)
-            assert_tight_enclosure(artin_constant(Le).scale(c),
-                                   exact_euler_interval(Le, prof.degree), Le, c)
+            Lc = _covering_truncation(prof, L)
+            assert_tight_enclosure(artin_constant(Lc).scale(c),
+                                   exact_euler_interval(Lc, prof.degree), Lc, c)
     assert c_factor(DegreeProfile(degrees={2: 3}), F(1)) == F(4, 5)
     assert c_factor(DegreeProfile(), F(7, 3)) == F(7, 3)
 
@@ -374,19 +393,18 @@ def _profiles():
 
 
 def test_build_density_report_matches_reference_product():
-    # The report rescales the maximal product by exact factors; naive and
-    # delta must enclose the exact substituted product and its alpha
-    # multiple, within the rounding of that one product.
+    # The report rescales the maximal product at L by exact factors; naive
+    # and delta must enclose the exact substituted product and its alpha
+    # multiple, taken far enough to hold every annotated prime, within the
+    # rounding of that one product.
     for prof in _profiles():
         c1 = c_factor(prof, F(1))
         for L in TRUNCATIONS:
             rep = build_density_report(prof, L=L)
-            Le = _effective_truncation(prof, L)
-            assert rep.truncation == max(Le, 2)
-            lo, hi = exact_euler_interval(rep.truncation, prof.degree)
-            assert_tight_enclosure(rep.naive, (lo, hi), rep.truncation, c1)
-            assert_tight_enclosure(rep.delta, (rep.alpha * lo, rep.alpha * hi),
-                                   rep.truncation, rep.c)
+            assert rep.truncation == L
+            lo, hi = exact_euler_interval(_covering_truncation(prof, L), prof.degree)
+            assert_rescaled_enclosure(rep.naive, c1, L, (lo, hi))
+            assert_rescaled_enclosure(rep.delta, rep.c, L, (rep.alpha * lo, rep.alpha * hi))
 
 
 def test_build_density_report_provenance():
@@ -407,7 +425,7 @@ def test_build_density_report_provenance():
     again = build_density_report(prof, L=1000)
     assert again.provenance == {k: v for k, v in rep.provenance.items() if k != "source"}
     assert build_density_report(DegreeProfile(degrees={19: 5}), L=2).provenance[
-        "truncation"] == 19
+        "truncation"] == 2
 
 
 def test_build_density_report_charsum_vanishing():
@@ -426,7 +444,17 @@ def test_build_density_report_trivial():
     assert rep.vanishing == "trivial"
 
 
-def test_build_density_report_raises_truncation():
+def test_build_density_report_keeps_truncation():
+    # annotated primes above L enter by their exact ratios: the report
+    # evaluates A_inf at the truncation asked for and records it
     prof = DegreeProfile(degrees={19: 123119}, charsum=frozenset({2, 19}))
     rep = build_density_report(prof, L=2)
-    assert rep.truncation == 19
+    assert rep.truncation == rep.provenance["truncation"] == 2
+    assert rep.a_inf == artin_constant(2)
+    lo, hi = exact_euler_interval(19, prof.degree)
+    assert rep.naive.lo <= lo and hi <= rep.naive.hi
+    assert rep.delta.lo <= rep.alpha * lo and rep.alpha * hi <= rep.delta.hi
+    big = DegreeProfile(degrees={4294967291: 2})
+    rep = build_density_report(big, L=100)
+    assert rep.truncation == 100 and rep.a_inf == artin_constant(100)
+    assert rep.naive == rep.delta == naive_density(big, 100)

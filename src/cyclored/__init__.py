@@ -69,5 +69,4 @@ from .galois_image import (
     frobenius_trace,
     two_division_degree,
 )
-from .ingest import FixtureMissing, SchemaMismatch, ingest_degrees
 from .registry import REGISTRY, CurveSpec, get_curve

@@ -24,7 +24,6 @@ from .entangle import (
     load_group_description,
 )
 from .galois_image import InvalidPrime, certify_surjective, two_division_degree
-from .ingest import FixtureMissing, SchemaMismatch, ingest_degrees
 from .modmath import SIEVE_LIMIT
 from .registry import REFERENCE_LIMIT, REGISTRY, get_curve
 from .utils import truncate_decimal, write_json_atomic
@@ -116,33 +115,26 @@ def cmd_census(args) -> int:
 
 
 def _resolve_profile(args) -> DegreeProfile:
-    given = [x for x in (args.label, args.profile, args.ingest) if x is not None]
-    if len(given) > 1:
-        raise ValueError("choose one of --label, --profile, --ingest")
+    if args.label is not None and args.profile is not None:
+        raise ValueError("choose one of --label and --profile")
     if args.label is not None:
         return get_curve(args.label).profile
     if args.profile is not None:
         with open(args.profile) as fh:
             doc = json.load(fh)
         return DegreeProfile.from_json_dict(doc)
-    if args.ingest is not None:
-        return ingest_degrees(args.ingest, source=args.fixtures)
     return DegreeProfile()
 
 
 def cmd_density(args) -> int:
     try:
         profile = _resolve_profile(args)
-    except FixtureMissing as exc:
-        return _fail(str(exc), EXIT_IO)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    except (ValueError, KeyError, TypeError, RecursionError, SchemaMismatch) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         return _fail(f"profile: {exc}", EXIT_USAGE)
     if not 2 <= args.truncation <= SIEVE_LIMIT:
         return _fail("--truncation must be between 2 and 2**32", EXIT_USAGE)
-    if max(profile.annotated_primes(), default=0) > SIEVE_LIMIT:
-        return _fail("profile: annotated primes must not exceed 2**32", EXIT_USAGE)
     try:
         report = build_density_report(profile, L=args.truncation)
         d_lo, d_hi = report.delta.decimal_bounds(12)
@@ -270,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="exact density report for a degree profile")
     p.add_argument("--label", choices=sorted(REGISTRY))
     p.add_argument("--profile", help="degree profile JSON file")
-    p.add_argument("--ingest", metavar="LABEL", help="load profile from fixtures")
-    p.add_argument("--fixtures", help="fixture directory override")
     p.add_argument("--truncation", type=int, default=10**5)
     p.add_argument("--output", help="write the report JSON here")
     p.set_defaults(func=cmd_density)

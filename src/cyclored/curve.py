@@ -51,10 +51,6 @@ import numpy as np
 
 from .modmath import factorize, legendre, sqrt_residue
 
-Point = "tuple[int, int] | None"  # affine coordinates, None is the point at infinity
-
-INFINITY = None
-
 _M64 = (1 << 64) - 1
 _EXHAUSTIVE_BELOW = 1 << 10
 _SAMPLE_BUDGET = 16         # points on the curve and its twist before IterationCap

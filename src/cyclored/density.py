@@ -18,7 +18,7 @@ from math import prod
 
 from . import __version__
 from .modmath import divisors, factorize, is_prime, moebius, sieve_primes
-from .utils import truncate_decimal
+from .utils import json_ints, truncate_decimal
 
 
 class DegreeOne(Exception):
@@ -113,6 +113,9 @@ class DegreeProfile:
     def __post_init__(self):
         object.__setattr__(self, "superfluous", frozenset(self.superfluous))
         object.__setattr__(self, "charsum", frozenset(self.charsum))
+        for l in self.annotated_primes():
+            if l >= 1 << 64:  # where is_prime stops being exact
+                raise ValueError(f"annotated prime {l} must be below 2**64")
         for l, d in self.degrees.items():
             if not is_prime(l):
                 raise ValueError(f"degree key {l} is not prime")
@@ -174,16 +177,29 @@ class DegreeProfile:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DegreeProfile":
+        """The one reader of profile JSON: keys must be canonical decimal
+        integers and values JSON integers, never floats, strings or bools."""
         if not isinstance(d, dict):
             raise ValueError("a profile must be a JSON object")
-        for key in ("degrees", "overrides"):
-            if not isinstance(d.get(key, {}), dict):
+        tables = {}
+        for key, what in (("degrees", "degree"), ("overrides", "override")):
+            table = d.get(key, {})
+            if not isinstance(table, dict):
                 raise ValueError(f"{key} must be a JSON object")
+            for k in table:
+                try:
+                    canonical = str(int(k)) == k  # not "1_1", " 2" or "02"
+                except ValueError:
+                    canonical = False
+                if not canonical:
+                    raise ValueError(f"{what} keys must be decimal integers, got {k!r}")
+            values = json_ints(table.values(), f"{what} values")
+            tables[key] = dict(zip(map(int, table), values))
         return cls(
-            degrees={int(k): int(v) for k, v in d.get("degrees", {}).items()},
-            superfluous=frozenset(int(x) for x in d.get("superfluous", ())),
-            charsum=frozenset(int(x) for x in d.get("charsum", ())),
-            overrides={int(k): int(v) for k, v in d.get("overrides", {}).items()},
+            degrees=tables["degrees"],
+            superfluous=frozenset(json_ints(d.get("superfluous", ()), "superfluous primes")),
+            charsum=frozenset(json_ints(d.get("charsum", ()), "charsum primes")),
+            overrides=tables["overrides"],
         )
 
 

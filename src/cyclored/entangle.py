@@ -17,7 +17,6 @@ product of those projections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -25,6 +24,7 @@ from math import prod
 import numpy as np
 
 from .modmath import is_prime, primitive_root
+from .utils import json_ints
 
 DEFAULT_CLOSURE_CAP = 10**7
 _INT64_SAFE = 1 << 62
@@ -391,10 +391,12 @@ def index2_character_subgroup(factor_sizes, kernel_sizes) -> tuple[Index2Model, 
     """Count, inside the index-2 kernel of a product of surjective
     quadratic characters, the elements nontrivial in every factor.
 
-    The count convolves sign patterns: a factor contributes its
-    nontrivial kernel elements on +1 and its full non-kernel on -1, and
-    only even numbers of -1 signs land in the kernel of the product
-    character.  Returns the abstract model and the exact density.
+    A factor of size n = 2k contributes its k - 1 nontrivial kernel
+    elements on sign +1 and its k non-kernel elements on -1, and only
+    even numbers of -1 signs land in the kernel of the product
+    character.  Summed over the even sign patterns of r factors, that is
+    (prod(2k - 1) + (-1)**r) / 2, with no loop over the 2**r patterns.
+    Returns the abstract model and the exact density.
     """
     sizes = tuple(int(n) for n in factor_sizes)
     kernels = tuple(int(k) for k in kernel_sizes)
@@ -409,14 +411,7 @@ def index2_character_subgroup(factor_sizes, kernel_sizes) -> tuple[Index2Model, 
             raise CharacterNotSurjective(
                 f"kernel of size {k} in a factor of size {n} is not index 2"
             )
-    r = len(sizes)
-    plus = [k - 1 for k in kernels]  # nontrivial kernel elements
-    minus = [n - k for n, k in zip(sizes, kernels)]  # all non-kernel elements
-    count = 0
-    for pattern in itertools.product((0, 1), repeat=r):
-        if sum(pattern) % 2:
-            continue
-        count += prod(minus[i] if s else plus[i] for i, s in enumerate(pattern))
+    count = (prod(n - 1 for n in sizes) + (-1) ** len(sizes)) // 2
     order = prod(sizes) // 2
     model = Index2Model(
         factor_sizes=sizes,
@@ -425,15 +420,6 @@ def index2_character_subgroup(factor_sizes, kernel_sizes) -> tuple[Index2Model, 
         nontrivial_count=count,
     )
     return model, Fraction(count, order)
-
-
-def _json_ints(values, what: str) -> tuple[int, ...]:
-    """values as a tuple, refused unless every one is a JSON integer: a
-    float, a string or a boolean (which Python reads as an int) is not."""
-    values = tuple(values)
-    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
-        raise ValueError(f"{what} must be integers, got {list(values)!r}")
-    return values
 
 
 def load_group_description(doc: dict):
@@ -454,14 +440,14 @@ def load_group_description(doc: dict):
         raise ValueError(f"cap must be an integer of at least 1, got {cap!r}")
     if kind == "index2":
         return "index2", index2_character_subgroup(
-            _json_ints(doc["factor_sizes"], "factor sizes"),
-            _json_ints(doc["kernel_sizes"], "kernel sizes"),
+            json_ints(doc["factor_sizes"], "factor sizes"),
+            json_ints(doc["kernel_sizes"], "kernel sizes"),
         )
-    moduli = _json_ints(doc["moduli"], "moduli")
+    moduli = json_ints(doc["moduli"], "moduli")
     if kind == "full_product":
         return "group", full_product_group(moduli, cap)
     if kind == "norm_one":
-        invs = [_json_ints(e, "involution entries") for e in doc["involutions"]]
+        invs = [json_ints(e, "involution entries") for e in doc["involutions"]]
         if len(invs) != len(moduli):
             raise ValueError("one involution per modulus required")
         emb = [
@@ -474,7 +460,7 @@ def load_group_description(doc: dict):
         return "group", norm_one_construction(invs, ambient)
     if kind == "closure":
         gens = [
-            MatrixTuple(moduli, [_json_ints(quad, "matrix entries") for quad in g])
+            MatrixTuple(moduli, [json_ints(quad, "matrix entries") for quad in g])
             for g in doc.get("generators", [])
         ]
         return "group", generate_closure(moduli, gens, cap)

@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic writes and exact decimal rendering."""
+"""Small shared helpers: atomic writes, exact decimal rendering and strict
+JSON integers."""
 
 from __future__ import annotations
 
@@ -34,3 +35,12 @@ def truncate_decimal(num: int, den: int, digits: int) -> str:
     scaled = abs(num) * 10**digits // den
     whole, frac = divmod(scaled, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def json_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, refused unless every one is a JSON integer: a
+    float, a string or a boolean (which Python reads as an int) is not."""
+    values = tuple(values)
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise ValueError(f"{what} must be integers, got {list(values)!r}")
+    return values

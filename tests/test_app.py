@@ -17,7 +17,6 @@ import cyclored.cli as cli
 import cyclored.curve as curve
 from cyclored.census import CensusReport
 from cyclored.density import DegreeProfile, build_density_report
-from cyclored.ingest import FixtureMissing, SchemaMismatch, fixture_dir, ingest_degrees
 from cyclored.registry import REGISTRY, CurveSpec, get_curve
 from cyclored.utils import truncate_decimal, write_json_atomic, write_text_atomic
 
@@ -78,51 +77,6 @@ def test_registry_profiles_build_reports():
         rep = build_density_report(get_curve(label).profile, L=100)
         assert rep.vanishing == "positive", label
         assert rep.delta.lo > 0
-
-
-# ---------------------------------------------------------------------------
-# ingest
-
-
-def test_packaged_fixtures_match_registry():
-    for label in LABELS:
-        prof = ingest_degrees(label)
-        assert prof == get_curve(label).profile, label
-
-
-def test_fixture_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("CYCLORED_FIXTURES", str(tmp_path))
-    assert fixture_dir() == tmp_path
-    doc = {"label": "serre-ex1", "degrees": {"2": 5}}
-    (tmp_path / "serre-ex1.json").write_text(json.dumps(doc))
-    prof = ingest_degrees("serre-ex1")
-    assert prof.degrees == {2: 5}
-    monkeypatch.delenv("CYCLORED_FIXTURES")
-    assert ingest_degrees("serre-ex1") == get_curve("serre-ex1").profile
-
-
-def test_ingest_missing_and_schema_errors(tmp_path):
-    with pytest.raises(FixtureMissing):
-        ingest_degrees("nothing-here", source=str(tmp_path))
-
-    bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    with pytest.raises(SchemaMismatch):
-        ingest_degrees("broken", source=str(tmp_path))
-
-    (tmp_path / "nolabel.json").write_text(json.dumps({"charsum": [2, 3]}))
-    with pytest.raises(SchemaMismatch):
-        ingest_degrees("nolabel", source=str(tmp_path))  # degrees table required
-
-    (tmp_path / "liar.json").write_text(
-        json.dumps({"label": "other", "degrees": {}}))
-    with pytest.raises(SchemaMismatch):
-        ingest_degrees("liar", source=str(tmp_path))
-
-    (tmp_path / "badkey.json").write_text(
-        json.dumps({"label": "badkey", "degrees": {"4": 2}}))
-    with pytest.raises(SchemaMismatch):
-        ingest_degrees("badkey", source=str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +218,7 @@ def test_cli_density_profile_file(tmp_path, capsys):
     assert doc["vanishing"] == "non_trivial"
 
 
-def test_cli_density_ingest(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "density", "--ingest", "serre-ex2",
-                           "--truncation", "100")
-    assert code == 0
-    assert "alpha = 13200/13199" in out
-
-    code, _, err = run_cli(capsys, "density", "--ingest", "no-such-label")
-    assert code == 4
-
+def test_cli_density_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
     code, _, err = run_cli(capsys, "density", "--profile", str(bad))
@@ -281,7 +227,7 @@ def test_cli_density_ingest(tmp_path, capsys):
                            "--profile", str(tmp_path / "ghost.json"))
     assert code == 4
     code, _, err = run_cli(capsys, "density", "--label", "serre-ex1",
-                           "--ingest", "serre-ex1")
+                           "--profile", str(bad))
     assert code == 2 and "choose one" in err
     code, _, err = run_cli(capsys, "density", "--label", "serre-ex1",
                            "--truncation", "1")
@@ -290,18 +236,21 @@ def test_cli_density_ingest(tmp_path, capsys):
 
 def test_cli_density_annotated_prime_near_2_32(tmp_path, capsys):
     # an annotated prime above the truncation enters by its exact ratio,
-    # with no sieve up to it, and the report records the truncation asked for
-    prof_path = tmp_path / "prof.json"
-    prof_path.write_text(json.dumps({"degrees": {"4294967291": 2}}))
-    out_path = tmp_path / "density.json"
-    start = time.monotonic()
-    code, out, _ = run_cli(capsys, "density", "--profile", str(prof_path),
-                           "--truncation", "100", "--output", str(out_path))
-    assert code == 0 and "vanishing: positive" in out
-    assert time.monotonic() - start < 10
-    doc = json.loads(out_path.read_text())
-    assert doc["truncation"] == doc["provenance"]["truncation"] == 100
-    assert doc["profile"]["degrees"] == {"4294967291": 2}
+    # with no sieve up to it, and the report records the truncation asked
+    # for; primes on both sides of 2**32 pass, as does the largest prime
+    # below 2**64, where is_prime stops being exact
+    for prime in ("4294967291", "4294967311", "18446744073709551557"):
+        prof_path = tmp_path / "prof.json"
+        prof_path.write_text(json.dumps({"degrees": {prime: 2}}))
+        out_path = tmp_path / "density.json"
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, "density", "--profile", str(prof_path),
+                               "--truncation", "100", "--output", str(out_path))
+        assert code == 0 and "vanishing: positive" in out, prime
+        assert time.monotonic() - start < 10
+        doc = json.loads(out_path.read_text())
+        assert doc["truncation"] == doc["provenance"]["truncation"] == 100
+        assert doc["profile"]["degrees"] == {prime: 2}
 
 
 def test_cli_density_output_at_default_truncation(tmp_path, capsys):
@@ -326,8 +275,16 @@ def test_cli_density_output_at_default_truncation(tmp_path, capsys):
     ({"degrees": {"11": 1}, "superfluous": [11]}, "degree 1 at superfluous prime 11"),
     ([{"degrees": {"2": 3}}], "a profile must be a JSON object"),
     ({"degrees": [[2, 3]]}, "degrees must be a JSON object"),
-    ({"degrees": {"4294967311": 2}}, "annotated primes must not exceed 2**32"),
+    ({"degrees": {"18446744073709551629": 2}}, "must be below 2**64"),  # 2**64 + 13
     ({"degrees": {str(l): 10**2000 for l in (2, 3, 5)}}, "integer string conversion"),
+    ({"degrees": {"5": 3.9}}, "degree values must be integers"),
+    ({"degrees": {"5": True}}, "degree values must be integers"),
+    ({"degrees": {"5": "7"}}, "degree values must be integers"),
+    ({"degrees": {"1_1": 2}}, "degree keys must be decimal integers"),
+    ({"degrees": {" 2": 3}}, "degree keys must be decimal integers"),
+    ({"superfluous": [11.5]}, "superfluous primes must be integers"),
+    ({"charsum": ["2", "3"]}, "charsum primes must be integers"),
+    ({"overrides": {"6": 2.0}}, "override values must be integers"),
 ])
 def test_cli_density_profile_errors(tmp_path, capsys, doc, reason):
     path = tmp_path / "prof.json"
@@ -397,12 +354,9 @@ def test_cli_density_and_constants_edge_sweep(tmp_path, capsys):
         if rng.random() < 0.3:
             argv += ["--output", str(tmp_path / f"out{i}.json")]
         codes.append(_sweep_cli(argv, capsys))
-        if isinstance(doc, dict):
-            fixture = tmp_path / "fixtures" / f"f{i}.json"
-            fixture.parent.mkdir(exist_ok=True)
-            fixture.write_text(json.dumps({"label": f"f{i}", **doc}))
-            codes.append(_sweep_cli(["density", "--ingest", f"f{i}", "--fixtures",
-                                     str(fixture.parent), "--truncation", "100"], capsys))
+        if isinstance(doc, dict):  # the same document at an accepted truncation
+            codes.append(_sweep_cli(["density", "--profile", str(path),
+                                     "--truncation", "100"], capsys))
     (tmp_path / "broken.json").write_text("{oops")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     for name in ("broken.json", "deep.json", "missing.json", "."):
@@ -549,6 +503,18 @@ def test_cli_entangle(tmp_path, capsys):
     code, out, err = run_cli(capsys, "entangle", str(extra))
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_entangle_index2_many_factors(tmp_path, capsys):
+    # 64 factors: the count is a closed form, not a walk over 2**64 sign patterns
+    path = tmp_path / "idx.json"
+    path.write_text(json.dumps({"construction": "index2",
+                                "factor_sizes": [4] * 64, "kernel_sizes": [2] * 64}))
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, "entangle", str(path))
+    assert time.monotonic() - start < 1
+    assert code == 0
+    assert f"order {4**64 // 2}, everywhere-nontrivial {(3**64 + 1) // 2}," in out
 
 
 def test_cli_galois(capsys):

@@ -19,27 +19,25 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .curve import (
-    BadReduction,
     CurveOverQ,
     ReducedCurve,
     full_torsion_lanes,
     group_orders,
     group_structure,
     has_full_ell_torsion,
-    reduce,
 )
 from .modmath import factorize, is_prime, moebius, sieve_primes
 from .utils import truncate_decimal
 
 CHUNK_SIZE = 4096
-DEFAULT_SPLIT_PRIMES = (2, 3, 5, 7)
+SPLIT_PRIMES = (2, 3, 5, 7)  # the primes l whose counts of l | d a report carries
 _CHECKPOINT_VERSION = 1
 # curve.group_orders', curve.full_torsion_lanes' and curve.group_structure's
 # counters that CensusReport.extra carries; the scalar_* reasons sum to
 # orders_scalar
 _RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range",
                "scalar_small_order", "scalar_degenerate", "scalar_multiples",
-               "lanes_retried", "lanes_twisted", "lanes_at_infinity",
+               "lanes_retried", "lanes_twisted",
                "two_by_discriminant", "frobenius_lanes", "sylow_sampled")
 
 
@@ -65,8 +63,6 @@ class CensusReport:
     split_counts: dict[int, int]
     elapsed_seconds: float
     label: str | None = None
-    chunk_size: int = CHUNK_SIZE
-    schema_version: int = 1
     extra: dict = field(default_factory=dict)
 
     @property
@@ -92,12 +88,12 @@ class CensusReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": 1,
             "label": self.label,
             "a": self.a,
             "b": self.b,
             "limit": self.limit,
-            "chunk_size": self.chunk_size,
+            "chunk_size": CHUNK_SIZE,
             "total_primes": self.total_primes,
             "bad_primes": list(self.bad_primes),
             "good_primes": self.good_primes,
@@ -110,27 +106,6 @@ class CensusReport:
             "elapsed_seconds": self.elapsed_seconds,
             "extra": self.extra,
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CensusReport":
-        rep = cls(
-            a=d["a"],
-            b=d["b"],
-            limit=d["limit"],
-            total_primes=d["total_primes"],
-            bad_primes=list(d["bad_primes"]),
-            cyclic_count=d["cyclic_count"],
-            split_counts={int(k): v for k, v in d["split_counts"].items()},
-            elapsed_seconds=d["elapsed_seconds"],
-            label=d.get("label"),
-            chunk_size=d.get("chunk_size", CHUNK_SIZE),
-            schema_version=d.get("schema_version", 1),
-            extra=d.get("extra", {}),
-        )
-        for key in ("good_primes", "noncyclic_count", "cyclic_fraction_exact"):
-            if key in d and getattr(rep, key) != type(getattr(rep, key))(d[key]):
-                raise CheckpointCorrupt(f"inconsistent derived field {key!r}")
-        return rep
 
 
 def _first_invariants(curve: CurveOverQ, primes, stats=None):
@@ -163,18 +138,15 @@ def _classify(p: int, d: int) -> tuple[int, str, tuple[int, ...]]:
 
 
 def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
-    """Classify one prime: bad reduction, cyclic group, or non-cyclic group.
+    """Classify one prime: bad reduction, cyclic group, or non-cyclic group,
+    by the census's own path (_first_invariants on the one prime).
 
     For non-cyclic groups the obstruction primes are the prime divisors of
     the first group invariant d (the primes with full torsion at p).
     """
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    try:
-        d = group_structure(reduce(curve, p)).d
-    except BadReduction:
-        d = 0
-    return PrimeClassification(*_classify(p, d))
+    return PrimeClassification(*_classify(*next(_first_invariants(curve, [p]))))
 
 
 def _classify_chunk(args):
@@ -185,7 +157,7 @@ def _classify_chunk(args):
     _first_invariants, which stay out of the record: resume compares
     records for equality.
     """
-    curve, primes, split_primes, want_rows = args
+    curve, primes, want_rows = args
     counts = Counter()
     rows = [_classify(p, d) for p, d in _first_invariants(curve, primes, counts)]
     bad = [p for p, status, _ in rows if status == "bad_reduction"]
@@ -197,12 +169,12 @@ def _classify_chunk(args):
         "good": len(primes) - len(bad),
         "cyclic": sum(status == "cyclic" for _, status, _ in rows),
         "bad": bad,
-        "split": {str(l): sum(l in obst for _, _, obst in rows) for l in split_primes},
+        "split": {str(l): sum(l in obst for _, _, obst in rows) for l in SPLIT_PRIMES},
     }
     return record, rows if want_rows else None, counts
 
 
-def _load_checkpoint(path: str, a: int, b: int, split_primes) -> dict:
+def _load_checkpoint(path: str, a: int, b: int) -> dict:
     """Parse a resume file, validating the header and every chunk record."""
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -223,7 +195,7 @@ def _load_checkpoint(path: str, a: int, b: int, split_primes) -> dict:
             f"checkpoint belongs to curve ({head.get('a')}, {head.get('b')}), "
             f"not ({a}, {b})"
         )
-    want_split = sorted(str(l) for l in split_primes)
+    want_split = sorted(str(l) for l in SPLIT_PRIMES)
     records: dict[tuple[int, int, int], dict] = {}
     for line in lines[1:]:
         if not line.strip():
@@ -266,7 +238,6 @@ def run_census(
     workers: int = 1,
     per_prime_csv: str | None = None,
     fraction_csv: str | None = None,
-    split_primes: tuple[int, ...] = DEFAULT_SPLIT_PRIMES,
     label: str | None = None,
 ) -> CensusReport:
     """Classify every prime p <= x and aggregate the counts.
@@ -299,16 +270,16 @@ def run_census(
     fresh = checkpoint is not None and not os.path.exists(checkpoint)
     saved: dict[tuple[int, int, int], dict] = {}
     if checkpoint is not None and not fresh:
-        saved = _load_checkpoint(checkpoint, curve.A, curve.B, split_primes)
+        saved = _load_checkpoint(checkpoint, curve.A, curve.B)
     keys = [(chunk[0], chunk[-1], len(chunk)) for chunk in chunks]
-    todo = [(curve, chunk, split_primes, want_rows)
+    todo = [(curve, chunk, want_rows)
             for chunk, key in zip(chunks, keys) if want_rows or key not in saved]
 
     bad_all: list[int] = []
     counts = Counter()
     cyclic = 0
     seen = 0
-    split_totals = {l: 0 for l in split_primes}
+    split_totals = {l: 0 for l in SPLIT_PRIMES}
     with contextlib.ExitStack() as stack:
         ck_fh = pp_writer = fr_writer = None
         if checkpoint is not None:
@@ -342,7 +313,7 @@ def run_census(
                 rec = new
                 counts.update(chunk_counts)
             bad_all.extend(rec["bad"])
-            for l in split_primes:
+            for l in SPLIT_PRIMES:
                 split_totals[l] += rec["split"][str(l)]
             if rows is None:
                 seen += rec["count"]

@@ -14,13 +14,12 @@ survives.  The census asks `group_orders` for a chunk of primes at once:
 it runs baby-step giant-step for a slice of primes together in numpy
 uint64 lanes (Jacobian coordinates, one inversion per lane), slices
 sized by their baby tables, scans the lanes the first pass leaves open
-once more on their next point, and hands every prime the lanes do not
-settle to `group_order`, the only fallback.  Neither needs a square
-root: for c = f(x0) they scan the point (x0 c, c^2) of
-y^2 = x^3 + a c^2 x + b c^3, which is the curve or its quadratic twist
-as c is a square or not, and map a twist's order n back to 2p + 2 - n.
-A lane's giant step that lands exactly on infinity yields its own
-scalar as an annihilator and the chain goes on in place.
+once more on their next point with its giants half a stride off, and
+hands every prime the lanes do not settle to `group_order`, the only
+fallback.  Neither needs a square root: for c = f(x0) they scan the
+point (x0 c, c^2) of y^2 = x^3 + a c^2 x + b c^3, which is the curve or
+its quadratic twist as c is a square or not, and map a twist's order n
+back to 2p + 2 - n.
 
 Structure determination never touches pairings.  For l = 2 the
 discriminant of the cubic decides first where it can.  The census then
@@ -364,8 +363,7 @@ def group_order(C: ReducedCurve) -> int:
 # standing for (X/Z^2, Y/Z^3).  A step outside its formula's domain (adding
 # a point to itself or to its negative, doubling a point of order 2) and
 # the point at infinity both give Z = 0, which every later step keeps.  The
-# giant chain tells the two apart where that is safe; every other lane with
-# Z = 0 anywhere is left to the scalar path.
+# two are not told apart: a lane with Z = 0 anywhere stays open.
 #
 # Each formula is written once, as sums of terms plus multiples of p with
 # one % per sum; _mul and _dif form the terms by the slice's reduction
@@ -425,8 +423,8 @@ def _jmadd(X, Y, Z, x, y, p, lazy):
     """(X : Y : Z) + (x, y), the second point affine.
 
     With Z != 0 the result has Z3 = Z * H, so Z3 = 0 exactly when both
-    points share x.  Then X3 = R^2: nonzero when the y differ (the sum is
-    at infinity), zero when the points are equal (the doubling case)."""
+    points share x: the sum is at infinity or the points are equal (the
+    doubling case, outside the formula's domain)."""
     ZZ = Z * Z % p
     H = (_mul(x, ZZ, p, lazy) + p - X) % p
     R = (_mul(_mul(y, ZZ, p, lazy), Z, p, lazy) + p - Y) % p
@@ -497,24 +495,23 @@ def _baby_rows(p):
     return isqrt(isqrt(4 * p)) + 2
 
 
-def _lane_orders(ps, As, xs, ys):
+def _lane_orders(ps, As, xs, ys, shifted=False):
     """Baby-step giant-step over the Hasse window for a slice of primes at once.
 
     Lane i is the curve with coefficient As[i] over F_ps[i] and the point
     P = (xs[i], ys[i]), ys[i] != 0.  Babies are j*P for 1 <= j <= m;
     giants are k*P for k = c0 + i*(2m + 1), c0 = lo + m, so each giant's x
     meets the baby at every offset in [-m, m] but 0, and the y signs say
-    which.  c0*P comes from _ladder on the affine baby table.  A giant
-    exactly at infinity is the offset-0 hit: its k is an annihilator, and
-    since k*P = O the chain goes on at S = (2m + 1)P and 2S.  Only a sum
-    whose points share x and y differ is read so (H = 0, R != 0 in
-    _jmadd); the doubling case, and a step of the ladder that meets
-    infinity, may hide a degenerate step and leave the lane open.  With
-    ord(P) > 2m + 1 the babies' x are distinct and each match is one
-    annihilator of P; the window's multiples of ord(P) are all among them.
-    Returns per lane that multiple when it is unique, else 0, and counts:
-    lanes not settled by reason, and lanes settled by a giant at infinity
-    (lanes_at_infinity).
+    which.  shifted puts the giants half a stride back, c0 = lo - 1, with
+    one giant more to reach hi.  c0*P comes from _ladder on the affine
+    baby table.  A lane whose ladder or giant chain meets Z = 0 anywhere
+    stays open: a giant at infinity, or a doubling the formula cannot
+    take.  A giant's k does not depend on P, so when the group order n is
+    one of them, every point of order n lands on infinity there; the
+    shifted giants put n on a baby offset instead.  With ord(P) > 2m + 1 the babies' x are distinct and
+    each match is one annihilator of P; the window's multiples of ord(P)
+    are all among them.  Returns per lane that multiple when it is
+    unique, else 0, and the lanes not settled by reason.
     """
     p, a, x, y = (np.asarray(v, dtype=np.uint64) for v in (ps, As, xs, ys))
     n = len(p)
@@ -534,9 +531,9 @@ def _lane_orders(ps, As, xs, ys):
         B[:, j] = _jmadd(*B[:, j - 1], x, y, p, lazy)
     B[:, m] = _jmadd(*_jdbl(*B[:, m - 1], a, p, lazy), x, y, p, lazy)
     small = ~_to_affine(B, p, lazy)  # some Z = 0: ord(P) <= 2m + 1
-    c0 = lo + m
+    c0 = lo - 1 if shifted else lo + m
     start = _ladder(c0, B[0, :m], B[1, :m], a, p, lazy)
-    S = np.stack([B[0, m], B[1, m], np.ones_like(p)])
+    S = B[:2, m].copy()
     by = B[1].copy()
 
     # baby keys (lane, x, j) in bits 48.., 16..47 and 0..15, sorted
@@ -550,17 +547,10 @@ def _lane_orders(ps, As, xs, ys):
     twice = (bkey[1:] >> 16) == (bkey[:-1] >> 16)  # two babies on one x: ord(P) <= 2m
     small[(bkey[1:][twice] >> 48).astype(np.intp)] = True
 
-    G = np.empty((3, -(-width // stride), n), dtype=np.uint64)
+    G = np.empty((3, -(-width // stride) + shifted, n), dtype=np.uint64)
     G[:, 0] = start
-    inf = np.zeros(G.shape[1:], dtype=bool)  # giants exactly at infinity
-    restart = ((1, S), (2, np.stack(_jdbl(*S, a, p, lazy))))
     for i in range(1, G.shape[1]):
-        G[:, i] = _jmadd(*G[:, i - 1], *S[:2], p, lazy)
-        for back, T in restart[:i]:
-            if inf[i - back].any():
-                G[:, i, inf[i - back]] = T[:, inf[i - back]]
-        inf[i] = (G[2, i] == 0) & (G[0, i] != 0) & (G[2, i - 1] != 0)
-    G[2][inf] = 1  # keeps the lane's batch inversion; the slot's x is unused
+        G[:, i] = _jmadd(*G[:, i - 1], *S, p, lazy)
     g_ok = _to_affine(G, p, lazy)
 
     # a giant key (lane, x, 0) meets the first baby key at or above it; the
@@ -572,19 +562,12 @@ def _lane_orders(ps, As, xs, ys):
     np.minimum(pos, len(bkey) - 1, out=pos)
     near = bkey[pos]
     near &= ~np.uint64(0xFFFF)
-    hit = np.flatnonzero((near == gkey) & ~inf.ravel())
+    hit = np.flatnonzero(near == gkey)
     del near
     li = hit % n
     j = (bkey[pos[hit]] & 0xFFFF).astype(np.int64)
     same = G[1].ravel()[hit] == by.ravel()[(j - 1) * n + li]
     k = c0[li] + (hit // n) * stride + np.where(same, -j, j)
-    # a giant at infinity is its own annihilator; k > c0 > lo
-    gi, gl = np.nonzero(inf)
-    k_inf = c0[gl] + gi * stride
-    at_inf = np.zeros(n, dtype=bool)
-    at_inf[gl[k_inf <= hi[gl]]] = True
-    li = np.concatenate([li, gl])
-    k = np.concatenate([k, k_inf])
     keep = (k >= lo[li]) & (k <= hi[li])
     found = np.sort((li[keep].astype(np.int64) << 34) | k[keep])
     found = found[np.diff(found, prepend=-1) != 0]
@@ -601,15 +584,15 @@ def _lane_orders(ps, As, xs, ys):
     orders[~scanned | several] = 0
     return orders, {"scalar_small_order": int(small.sum()),
                     "scalar_degenerate": int(degenerate.sum()),
-                    "scalar_multiples": int(several.sum()),
-                    "lanes_at_infinity": int((at_inf & (orders > 0)).sum())}
+                    "scalar_multiples": int(several.sum())}
 
 
-def _lane_pass(p, a, b, s, stats):
+def _lane_pass(p, a, b, s, stats, shifted=False):
     """One lane scan of the primes p with coefficient residues a and b:
     each lane draws its next point from its tag-1 stream state in s,
-    which advances in place.  Returns the orders, 0 where the lane stays
-    open; stats receives _lane_orders' counts and lanes_twisted."""
+    which advances in place, and shifted goes to _lane_orders.  Returns
+    the orders, 0 where the lane stays open; stats receives
+    _lane_orders' counts and lanes_twisted."""
     x = np.zeros_like(p)
     redo = np.ones(len(p), dtype=bool)
     while redo.any():  # x0^3 + a x0 + b has at most three roots
@@ -624,7 +607,7 @@ def _lane_pass(p, a, b, s, stats):
     slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
     for k in range(slices):
         part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
-        n[part], why = _lane_orders(p[part], ac[part], xc[part], cc[part])
+        n[part], why = _lane_orders(p[part], ac[part], xc[part], cc[part], shifted)
         stats.update(why)
     stats["lanes_twisted"] += int(twisted.sum())
     return np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n)
@@ -645,13 +628,14 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     settles by the scalar rule: exactly one multiple of the point's order
     in the Hasse window.  The lanes the first pass leaves open draw their
     next point from the same stream and are scanned again in a second
-    lane pass; every prime still open goes to group_order.
+    lane pass, with its giants half a stride off the first pass's, so a
+    group order that fell on a giant falls on a baby offset; every prime
+    still open goes to group_order.
 
     stats, a Counter when given, receives the number of orders settled in
-    lanes (orders_batched), of lanes scanned again (lanes_retried), of
-    lanes on the twist (lanes_twisted) and of lanes settled by a giant at
-    infinity (lanes_at_infinity), both summed over the two passes, and
-    the orders left to group_order (orders_scalar) by reason: p outside
+    lanes (orders_batched), of lanes scanned again (lanes_retried) and of
+    lanes on the twist over the two passes (lanes_twisted), and the
+    orders left to group_order (orders_scalar) by reason: p outside
     the lane range (scalar_p_range), and, as the second pass found it, a
     point of order at most 2m + 1 (scalar_small_order), a degenerate step
     (scalar_degenerate), and several multiples in the window
@@ -672,7 +656,7 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
         retry = np.flatnonzero(n == 0)
         counts["lanes_retried"] = len(retry)
         if len(retry):
-            n[retry] = _lane_pass(p[retry], a[retry], b[retry], s[retry], counts)
+            n[retry] = _lane_pass(p[retry], a[retry], b[retry], s[retry], counts, True)
         for i, order in zip(index, n.tolist()):
             out[i] = order
     counts["orders_batched"] = sum(1 for order in out if order)

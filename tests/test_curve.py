@@ -215,9 +215,8 @@ def test_lane_orders_match_group_order():
     # random curves, two of them with coefficients above 10^12, and bands
     # just below and just above 2^21, where the lanes' lazy sums end, and
     # just below 2^31 and 2^32, where residue products come closest to
-    # 2^64.  Every route to the scalar path is taken at least once, lanes
-    # scan points on the curve and on its twist, and giants at infinity
-    # settle lanes.
+    # 2^64.  Every route to the scalar path is taken at least once, and
+    # lanes scan points on the curve and on its twist.
     rng = random.Random(11)
     curves = [CurveOverQ(A, B) for A, B in FIVE_CURVES]
     curves += [CurveOverQ(rng.randrange(-999, 1000), rng.randrange(-999, 1000)) for _ in range(2)]
@@ -244,7 +243,6 @@ def test_lane_orders_match_group_order():
         routes[r] for r in ("scalar_small_order", "scalar_degenerate", "scalar_multiples"))
     assert routes["orders_batched"] > 0.85 * scanned
     assert 0 < routes["lanes_twisted"] < scanned
-    assert 0 < routes["lanes_at_infinity"] < routes["orders_batched"]
     # the second pass, on each open lane's next point, settles most of them
     left = scanned - routes["orders_batched"]
     assert 0 < left < routes["lanes_retried"] / 4
@@ -253,33 +251,34 @@ def test_lane_orders_match_group_order():
 def test_lane_giant_at_infinity_settles():
     # Over F_1031 the window is [968, 1096], m = 9 and the giants sit at
     # 977 + 19i.  y^2 = x^3 + x + 44 has 996 = 977 + 19 points and a point
-    # of order 996, so giant 1 is exactly at infinity, the chain goes on
-    # at S and 2S, and that giant's own scalar is the window's one multiple.
+    # of order 996, so giant 1 is exactly at infinity and the lane stays
+    # open.  The shifted giants sit at 967 + 19i, so 996 = 1005 - 9 lies
+    # on the baby offset -m of giant 2, and the lane settles.
     p, a, b = 1031, 1, 44
     C = ReducedCurve(p, a, b)
     n = group_order(C)
     P = random_point(C, 1)
     assert n == 977 + 19 and point_order(P, n, C) == n
     orders, why = curve._lane_orders((p,), (a,), (P[0],), (P[1],))
+    assert list(orders) == [0]
+    assert why == {"scalar_small_order": 0, "scalar_degenerate": 1, "scalar_multiples": 0}
+    orders, why = curve._lane_orders((p,), (a,), (P[0],), (P[1],), shifted=True)
     assert list(orders) == [n]
-    assert why == {"scalar_small_order": 0, "scalar_degenerate": 0, "scalar_multiples": 0,
-                   "lanes_at_infinity": 1}
+    assert why == {"scalar_small_order": 0, "scalar_degenerate": 0, "scalar_multiples": 0}
 
 
 def test_lane_doubling_case_falls_back():
     # Over F_1033 the window is [970, 1098], m = 9 and the stride is 19.  For
     # a point of order 24, c0 * P = 979 P = 19 P = S, so the first giant step
-    # adds S to itself: H = 0 and R = 0.  That is not a giant at infinity
-    # (979 + 19 = 998 is no multiple of 24), and the lane goes to the scalar
-    # path.
+    # adds S to itself: H = 0 and R = 0, a doubling outside the formula's
+    # domain, and the lane goes to the scalar path.
     p, a, b = 1033, 1, 2
     C = ReducedCurve(p, a, b)
     P = (190, 675)
     assert point_order(P, group_order(C), C) == 24 and (979 - 19) % 24 == 0
     orders, why = curve._lane_orders((p,), (a,), (P[0],), (P[1],))
     assert list(orders) == [0]
-    assert why == {"scalar_small_order": 0, "scalar_degenerate": 1, "scalar_multiples": 0,
-                   "lanes_at_infinity": 0}
+    assert why == {"scalar_small_order": 0, "scalar_degenerate": 1, "scalar_multiples": 0}
 
 
 def test_ladder_matches_scalar_multiplication():

@@ -24,7 +24,6 @@ from .curve import (
     ReducedCurve,
     group_order,
     group_structure,
-    has_full_ell_torsion,
     is_cyclic,
     reduce,
 )

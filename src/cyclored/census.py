@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from .curve import (
     CurveOverQ,
     ReducedCurve,
+    full_ell_torsion,
     full_torsion_lanes,
     group_orders,
     group_structure,
-    has_full_ell_torsion,
 )
 from .modmath import factorize, is_prime, moebius, sieve_primes
 from .utils import truncate_decimal
@@ -182,7 +182,7 @@ def _load_checkpoint(path: str, a: int, b: int) -> dict:
         raise CheckpointCorrupt("checkpoint file is empty")
     try:
         head = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to convert
         raise CheckpointCorrupt(f"unreadable header: {exc}") from None
     if (
         not isinstance(head, dict)
@@ -202,7 +202,7 @@ def _load_checkpoint(path: str, a: int, b: int) -> dict:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise CheckpointCorrupt(f"unreadable chunk record: {exc}") from None
         needed = ("kind", "first", "last", "count", "good", "cyclic", "bad", "split")
         if not isinstance(rec, dict) or any(k not in rec for k in needed):
@@ -349,27 +349,21 @@ def run_census(
 def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     """Count good primes p <= x whose reduction has full l-torsion.
 
-    Full l-torsion forces l | p - 1, so primes outside that progression
-    are skipped without computing a group order.  The prime p = l itself
-    never qualifies and is skipped.
+    Full l-torsion forces l | p - 1, so only the good primes in that
+    progression go to one curve.full_ell_torsion call; p = l never does.
 
-    Each prime goes through has_full_ell_torsion: for l = 2 it asks
-    whether the cubic x^3 + ax + b splits over F_p, which the census
-    decides from the discriminant and 4 | n instead; for odd l it samples
-    the l-Sylow subgroup, where the census takes l = 3, 5 from
-    Frobenius on the division polynomials.  So for l <= 5 this count and
-    the census's split count are two different computations of l | d.
+    For l = 2 that call asks whether the cubic x^3 + ax + b splits over
+    F_p, which the census decides from the discriminant and 4 | n instead;
+    for odd l it samples the l-Sylow subgroup, where the census takes
+    l = 3, 5 from Frobenius on the division polynomials.  So for l <= 5
+    this count and the census's split count are two different
+    computations of l | d.
     """
     if not is_prime(l):
         raise ValueError(f"torsion prime must be a prime: {l}")
     delta = curve.delta_E
-    count = 0
-    for p in sieve_primes(x):
-        if p % l != 1 or delta % p == 0:
-            continue
-        if has_full_ell_torsion(ReducedCurve(p, curve.A % p, curve.B % p), l):
-            count += 1
-    return count
+    primes = [p for p in sieve_primes(x) if p % l == 1 and delta % p]
+    return sum(full_ell_torsion(curve.A, curve.B, l, primes))
 
 
 @dataclass(frozen=True)

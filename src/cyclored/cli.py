@@ -167,12 +167,23 @@ def cmd_entangle(args) -> int:
             doc = json.load(fh)
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or a 4300-digit integer
         return _fail(f"group file: {exc}", EXIT_USAGE)
     try:
         kind, payload = load_group_description(doc)
+        if kind == "index2":
+            model, delta = payload
+            summary = (
+                f"index-2 kernel of {model.factor_sizes}: order {model.group_order}, "
+                f"everywhere-nontrivial {model.nontrivial_count}, delta {delta}"
+            )
+        else:
+            summary = (
+                f"group over moduli {payload.moduli}: order {payload.order}, "
+                f"delta {delta_exact(payload)}"
+            )
     except (
-        ValueError,
+        ValueError,  # an order or delta too long to render among them
         KeyError,
         TypeError,
         OverflowError,  # a number that JSON read as infinity
@@ -182,18 +193,7 @@ def cmd_entangle(args) -> int:
         ClosureCapExceeded,
     ) as exc:
         return _fail(f"group description: {exc}", EXIT_USAGE)
-    if kind == "index2":
-        model, delta = payload
-        print(
-            f"index-2 kernel of {model.factor_sizes}: order {model.group_order}, "
-            f"everywhere-nontrivial {model.nontrivial_count}, delta {delta}"
-        )
-    else:
-        group = payload
-        print(
-            f"group over moduli {group.moduli}: order {group.order}, "
-            f"delta {delta_exact(group)}"
-        )
+    print(summary)
     return EXIT_OK
 
 

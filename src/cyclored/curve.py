@@ -30,8 +30,9 @@ uint64 lanes; that answer settles the exponent of l in d unless a
 deeper level is possible.  What is left, l >= 7 among it, is certified
 by sampling: a point whose l-part has full length (cyclic Sylow), or
 two independent points of order l, independence decided by enumerating
-the <= l multiples of one of them.  `has_full_ell_torsion(C, 2)` asks
-whether the cubic splits over F_p.
+the <= l multiples of one of them.  `full_ell_torsion` asks, a list of
+primes at once, whether E[l] lies in E(F_p): for l = 2 by the same lane
+test on the cubic, for odd l by the Sylow sampler on group_orders' n.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
 mix of (p, a, b) and a tag drives the x-candidates and the y-sign choice
@@ -57,6 +58,7 @@ _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
+_TORSION_SLICE = 1 << 15    # primes per full_ell_torsion pass, about 12 MiB of lanes
 
 
 class BadReduction(Exception):
@@ -934,40 +936,33 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None,
     return GroupStructure(n, d, n // d)
 
 
-def _cubic_splits(p: int, a: int, b: int) -> bool:
-    """Whether x^3 + ax + b has three roots in F_p, that is x^p == x
-    modulo it, by left-to-right squaring of r = r0 + r1 x + r2 x^2 with
-    x^3 = -ax - b and x^4 = -ax^2 - bx; Python ints."""
-    r0, r1, r2 = 1, 0, 0
-    for bit in bin(p)[2:]:
-        t = r1 * r2
-        r0, r1, r2 = ((r0 * r0 - 2 * b * t) % p, (2 * (r0 * r1 - a * t) - b * r2 * r2) % p,
-                      (r1 * r1 + 2 * r0 * r2 - a * r2 * r2) % p)
-        if bit == "1":
-            r0, r1, r2 = -b * r2 % p, (r0 - a * r2) % p, r1
-    return (r0, r1, r2) == (0, 1, 0)
+def full_ell_torsion(A: int, B: int, l: int, primes) -> list[bool]:
+    """Per prime, whether all l^2 points of order dividing l on
+    y^2 = x^3 + Ax + B are rational over F_p, that is l | d.  primes are of
+    good reduction and below 2**32, and p = l raises ValueError.
 
-
-def has_full_ell_torsion(C: ReducedCurve, l: int) -> bool:
-    """Whether all l^2 points of order dividing l are rational, i.e. l | d.
-
-    Requires gcd(l, p) = 1.  For l = 2 that is the cubic splitting over
-    F_p (_cubic_splits), with no group order.  For odd l a true answer
-    forces l | p-1 and l^2 | n, so those two cheap rejections run first
-    and the l-Sylow subgroup is sampled.
+    For l = 2 that is the cubic splitting over F_p, x^p == x modulo it,
+    asked of _lane_x_power_is_x with no group order.  For odd l a true
+    answer forces l | p - 1 and l^2 | n, so group_orders runs only on the
+    primes with l | p - 1, and the l-Sylow subgroup is sampled only where
+    l^2 | n.  Slices of _TORSION_SLICE primes bound the lane arrays.
     """
-    p = C.p
-    if p % l == 0:
-        raise ValueError(f"l={l} equals the residue characteristic")
-    if l == 2:
-        return _cubic_splits(p, C.a, C.b)
-    if (p - 1) % l != 0:
-        return False
-    n = group_order(C)
-    v = _valuation(n, l)
-    if v < 2:
-        return False
-    return _sylow_first_invariant(p, C.a, C.b, n, l, v) >= 1
+    if len(primes) > _TORSION_SLICE:
+        return [ok for k in range(0, len(primes), _TORSION_SLICE)
+                for ok in full_ell_torsion(A, B, l, primes[k : k + _TORSION_SLICE])]
+    if any(p % l == 0 or p >= _LANE_LIMIT for p in primes):
+        raise ValueError(f"primes must be below 2**32 and differ from l={l}")
+    if l == 2 and primes:
+        q = np.array(primes, dtype=np.uint64)
+        low = np.stack([_lane_residues(B, q), _lane_residues(A, q), np.zeros_like(q)])
+        return _lane_x_power_is_x(low, q).tolist()
+    out = [False] * len(primes)
+    index = [i for i, p in enumerate(primes) if p % l == 1]
+    for i, n in zip(index, group_orders(A, B, [primes[i] for i in index])):
+        p, v = primes[i], _valuation(n, l)
+        if v >= 2:
+            out[i] = _sylow_first_invariant(p, A % p, B % p, n, l, v) >= 1
+    return out
 
 
 def is_cyclic(C: ReducedCurve) -> bool:

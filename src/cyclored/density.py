@@ -414,7 +414,12 @@ def build_density_report(
     The provenance records the version, the method, the truncation L,
     the fixed-point scale and the width of the delta enclosure; entries
     passed in are added to it.
+
+    A profile with overrides raises ValueError: an override holds at its
+    one level, so no Euler product carries it; it feeds delta_partial only.
     """
+    if profile.overrides:
+        raise ValueError("overrides feed delta_partial only, not a density report")
     a_inf = artin_constant(L)
     if profile.charsum:
         cs = charsum_alpha({l: profile.degree(l) for l in sorted(profile.charsum)})

@@ -283,6 +283,7 @@ def test_cli_density_output_at_default_truncation(tmp_path, capsys):
     ({"superfluous": [11.5]}, "superfluous primes must be integers"),
     ({"charsum": ["2", "3"]}, "charsum primes must be integers"),
     ({"overrides": {"6": 2.0}}, "override values must be integers"),
+    ({"degrees": {"2": 6, "3": 48}, "overrides": {"6": 144}}, "overrides feed delta_partial only"),
 ])
 def test_cli_density_profile_errors(tmp_path, capsys, doc, reason):
     path = tmp_path / "prof.json"
@@ -455,6 +456,19 @@ def test_cli_census_entangle_galois_edge_sweep(tmp_path, capsys):
         codes.append(_sweep_cli(["entangle", str(tmp_path / name)], capsys))
     path = tmp_path / "inf.json"
     path.write_text('{"moduli": [3], "generators": [[[1, 1, 0, 1]]], "cap": 1e400}')
+    assert _sweep_cli(["entangle", str(path)], capsys) == 2
+    # integers of more than 4300 digits: in a checkpoint header or record,
+    # in a group file, and as an index-2 group order to print
+    huge = "1" * 4400
+    header = '{"a": -3, "b": 1, "kind": "header", "version": 1}'
+    for lines in ([header.replace("-3", huge)], [header, '{"kind": "chunk", "first": %s}' % huge]):
+        bad_ck.write_text("\n".join(lines) + "\n")
+        argv = ["census", "--a", "-3", "--b", "1", "--limit", "1000", "--checkpoint", str(bad_ck)]
+        assert _sweep_cli(argv, capsys) == 4
+    path.write_text('{"construction": "full_product", "moduli": [%s]}' % huge)
+    assert _sweep_cli(["entangle", str(path)], capsys) == 2
+    path.write_text(json.dumps({"construction": "index2", "factor_sizes": [2 * 10**70] * 64,
+                                "kernel_sizes": [10**70] * 64}))
     assert _sweep_cli(["entangle", str(path)], capsys) == 2
     # numbers that are not JSON integers are refused, not truncated
     for doc in ({"moduli": [3.5]}, {"moduli": [5], "generators": [[[2.9, 0, 0, 1.5]]]},

@@ -206,6 +206,11 @@ def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
     with pytest.raises(CheckpointCorrupt, match="different split primes"):
         run_census(E1, 1500, checkpoint=ck)
 
+    # a record holding an integer too long to convert
+    rewrite([good_lines[0], good_lines[1][:-1] + ', "huge": ' + "1" * 4400 + "}"] + good_lines[2:])
+    with pytest.raises(CheckpointCorrupt, match="unreadable chunk record"):
+        run_census(E1, 1500, checkpoint=ck)
+
     # a record missing a required field
     rec = dict(json.loads(good_lines[1]))
     del rec["split"]

@@ -26,7 +26,6 @@ from cyclored.curve import (
     group_order,
     group_orders,
     group_structure,
-    has_full_ell_torsion,
     is_cyclic,
     on_curve,
     point_order,
@@ -34,7 +33,7 @@ from cyclored.curve import (
     reduce,
     scalar_mul,
 )
-from cyclored.curve import _order_exhaustive, full_torsion_lanes
+from cyclored.curve import _order_exhaustive, full_ell_torsion, full_torsion_lanes
 from cyclored.modmath import is_prime, legendre, sieve_primes, sqrt_mod
 
 
@@ -477,7 +476,7 @@ def test_division_polynomial_roots_are_torsion_x():
 
 
 def test_cubic_splitting_matches_root_count():
-    # has_full_ell_torsion(C, 2) against a count of the cubic's roots
+    # full_ell_torsion(a, b, 2, [p]) against a count of the cubic's roots
     rng = random.Random(29)
     primes = sieve_primes(5000)[2:]
     for _ in range(300):
@@ -486,7 +485,23 @@ def test_cubic_splitting_matches_root_count():
         if (4 * a**3 + 27 * b * b) % p == 0:
             continue
         roots = sum((x * x * x + a * x + b) % p == 0 for x in range(p))
-        assert has_full_ell_torsion(ReducedCurve(p, a, b), 2) == (roots == 3), (p, a, b)
+        assert full_ell_torsion(a, b, 2, [p]) == [roots == 3], (p, a, b)
+
+
+def test_full_ell_torsion_matches_torsion_count():
+    # every good prime below 2000 of serre-ex1 and serre-ex3 against a
+    # count of torsion points; no such prime has full 7-torsion
+    found = Counter()
+    for A, B in (FIVE_CURVES[0], FIVE_CURVES[2]):
+        delta = CurveOverQ(A, B).delta_E
+        d = {p: brute_first_invariant(p, A % p, B % p)
+             for p in sieve_primes(2000) if delta % p}
+        for l in (2, 3, 5, 7):
+            primes = [p for p in d if p != l]
+            for p, full in zip(primes, full_ell_torsion(A, B, l, primes)):
+                assert full == (d[p] % l == 0), (A, B, p, l)
+                found[l] += full
+    assert found[2] and found[3] and found[5] and not found[7], found
 
 
 def test_group_order_hasse_bound():
@@ -564,18 +579,17 @@ def test_structure_invariants_random_curves():
 
 def test_full_torsion_and_cyclicity():
     E = CurveOverQ(-3, 1)
-    for p in sieve_primes(150):
-        if E.delta_E % p == 0:
-            continue
-        C = reduce(E, p)
-        st = group_structure(C)
-        assert is_cyclic(C) == (st.d == 1)
-        for l in (2, 3, 5):
-            if p == l:
-                with pytest.raises(ValueError):
-                    has_full_ell_torsion(C, l)
-                continue
-            assert has_full_ell_torsion(C, l) == (st.d % l == 0), (p, l)
+    good = [p for p in sieve_primes(150) if E.delta_E % p]
+    structures = {p: group_structure(reduce(E, p)) for p in good}
+    for p, st in structures.items():
+        assert is_cyclic(reduce(E, p)) == (st.d == 1)
+    for l in (2, 3, 5):
+        primes = [p for p in good if p != l]
+        for p, full in zip(primes, full_ell_torsion(E.A, E.B, l, primes)):
+            assert full == (structures[p].d % l == 0), (p, l)
+        for bad in ([l], [7, l], [7, 2**32 + 15]):  # p = l, p above 2**32
+            with pytest.raises(ValueError):
+                full_ell_torsion(E.A, E.B, l, bad)
 
 
 def test_structure_dataclass():

@@ -33,12 +33,9 @@ CHUNK_SIZE = 4096
 SPLIT_PRIMES = (2, 3, 5, 7)  # the primes l whose counts of l | d a report carries
 _CHECKPOINT_VERSION = 1
 # curve.group_orders', curve.full_torsion_lanes' and curve.group_structure's
-# counters that CensusReport.extra carries; the scalar_* reasons sum to
-# orders_scalar
-_RUN_COUNTS = ("orders_batched", "orders_scalar", "scalar_p_range",
-               "scalar_small_order", "scalar_degenerate", "scalar_multiples",
-               "lanes_retried", "lanes_twisted",
-               "two_by_discriminant", "frobenius_lanes", "sylow_sampled")
+# counters that CensusReport.extra carries
+_RUN_COUNTS = ("orders_batched", "orders_exhaustive", "lane_points", "lane_passes",
+               "lanes_twisted", "two_by_discriminant", "frobenius_lanes", "sylow_sampled")
 
 
 class CheckpointCorrupt(Exception):
@@ -142,7 +139,9 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     by the census's own path (_first_invariants on the one prime).
 
     For non-cyclic groups the obstruction primes are the prime divisors of
-    the first group invariant d (the primes with full torsion at p).
+    the first group invariant d (the primes with full torsion at p).  A
+    non-prime p, and p >= 2**32, where no group order is computed, raise
+    ValueError.
     """
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
@@ -213,8 +212,13 @@ def _load_checkpoint(path: str, a: int, b: int) -> dict:
                 type(v) is not int  # JSON true and false load as bool, an int subclass
                 for v in [*(rec[k] for k in needed[1:6]), *rec["bad"], *rec["split"].values()]):
             raise CheckpointCorrupt("chunk record has fields of the wrong type")
-        if rec["good"] + len(rec["bad"]) != rec["count"] or rec["cyclic"] > rec["good"]:
+        if rec["good"] + len(rec["bad"]) != rec["count"] or any(
+                not 0 <= v <= rec["good"] for v in [rec["cyclic"], *rec["split"].values()]):
             raise CheckpointCorrupt("chunk record counts are inconsistent")
+        bad = rec["bad"]
+        if any(not rec["first"] <= q <= rec["last"] for q in bad) or any(
+                q >= r for q, r in zip(bad, bad[1:])):
+            raise CheckpointCorrupt("chunk record has bad primes out of range or order")
         if sorted(rec["split"].keys()) != want_split:
             raise CheckpointCorrupt("chunk record tracks different split primes")
         key = (rec["first"], rec["last"], rec["count"])

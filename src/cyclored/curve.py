@@ -3,23 +3,22 @@
 A curve y^2 = x^3 + Ax + B with integer coefficients is reduced modulo an
 odd prime p of good reduction.  The group of points is abelian on at most
 two generators, Z/d x Z/e with d | e and d | p-1; the reduction is called
-cyclic when d = 1.  Everything downstream (the census, the split counts)
-sits on top of `group_order`, `group_orders` and `group_structure`.
+cyclic when d = 1.  Everything downstream (the census, the split counts,
+the Frobenius traces) sits on top of `group_orders` and `group_structure`.
 
-`group_order` handles one prime: exhaustive quadratic-residue counting
-below 2**10, and baby-step giant-step over the Hasse window above it, in
-one loop that samples points on the curve and on its quadratic twist and
-keeps one lcm of point orders for each side until a unique candidate
-survives.  The census asks `group_orders` for a chunk of primes at once:
-it runs baby-step giant-step for a slice of primes together in numpy
-uint64 lanes (Jacobian coordinates, one inversion per lane), slices
-sized by their baby tables, scans the lanes the first pass leaves open
-once more on their next point with its giants half a stride off, and
-hands every prime the lanes do not settle to `group_order`, the only
-fallback.  Neither needs a square root: for c = f(x0) they scan the
-point (x0 c, c^2) of y^2 = x^3 + a c^2 x + b c^3, which is the curve or
-its quadratic twist as c is a square or not, and map a twist's order n
-back to 2p + 2 - n.
+`group_orders` counts the points for a list of primes at once: below
+2**10 exhaustively, by quadratic-residue counting, and from 2**10 to
+2**32 by baby-step giant-step over the Hasse window, for a slice of
+primes together in numpy uint64 lanes (Jacobian coordinates, one
+inversion per lane), slices sized by their baby tables.  Lane passes run
+until every lane settles, each on the lane's next point, with the giants
+half a stride off on every other pass; a lane keeps one lcm of point
+orders on the curve and one on its quadratic twist and settles when one
+window value fits both (Mestre's argument).  No lane takes a square
+root: for c = f(x0) it scans the point (x0 c, c^2) of
+y^2 = x^3 + a c^2 x + b c^3, which is the curve or its quadratic twist
+as c is a square or not, and maps a twist's order n back to 2p + 2 - n.
+`group_order` is the same on one prime.
 
 Structure determination never touches pairings.  For l = 2 the
 discriminant of the cubic decides first where it can.  The census then
@@ -36,9 +35,9 @@ test on the cubic, for odd l by the Sylow sampler on group_orders' n.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
 mix of (p, a, b) and a tag drives the x-candidates and the y-sign choice
-(the lanes draw x0 from the tag-1 stream in uint64, group_order from the
-tag-2 one, so a prime the lanes leave open starts on a new point), so
-runs are bit-reproducible regardless of how work is partitioned.
+(the lanes draw x0 from the tag-1 stream in uint64, the Sylow sampler
+from tag 16 + l), so runs are bit-reproducible regardless of how work is
+partitioned.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .modmath import factorize, legendre, sqrt_residue
 
 _M64 = (1 << 64) - 1
 _EXHAUSTIVE_BELOW = 1 << 10
-_SAMPLE_BUDGET = 16         # points on the curve and its twist before IterationCap
+_SAMPLE_BUDGET = 16         # points per lane, curve or twist, before IterationCap
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
@@ -66,7 +65,8 @@ class BadReduction(Exception):
 
 
 class BadWitness(Exception):
-    """Raised by point_order when the claimed group-order multiple fails."""
+    """Raised by _l_height when a point outside the l-Sylow subgroup shows
+    the group order it was given to be wrong."""
 
 
 class IterationCap(Exception):
@@ -125,16 +125,6 @@ def reduce(curve: CurveOverQ, p: int) -> ReducedCurve:
 # group law
 
 
-def on_curve(P, C: ReducedCurve) -> bool:
-    if P is None:
-        return True
-    x, y = P
-    p = C.p
-    if not (0 <= x < p and 0 <= y < p):
-        return False
-    return (y * y - (x * x % p * x + C.a * x + C.b)) % p == 0
-
-
 def _add_raw(P, Q, p, a):
     if P is None:
         return Q
@@ -164,24 +154,6 @@ def _mul_raw(k, P, p, a):
         if not k:
             return R
         Q = _add_raw(Q, Q, p, a)
-
-
-def add(P, Q, C: ReducedCurve):
-    """Chord-tangent sum of two points on C (validated)."""
-    if not on_curve(P, C) or not on_curve(Q, C):
-        raise ValueError("point not on curve")
-    return _add_raw(P, Q, C.p, C.a)
-
-
-def scalar_mul(k: int, P, C: ReducedCurve):
-    """k-fold sum of P on C; negative k multiplies the inverse point."""
-    if not on_curve(P, C):
-        raise ValueError("point not on curve")
-    if k < 0:
-        if P is not None:
-            P = (P[0], (-P[1]) % C.p)
-        k = -k
-    return _mul_raw(k, P, C.p, C.a)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +198,6 @@ def _sample_point(p, a, b, s):
     raise IterationCap(f"no affine point found on y^2=x^3+{a}x+{b} over F_{p}")
 
 
-def random_point(C: ReducedCurve, seed: int):
-    """Deterministic pseudo-random point on C for the given seed."""
-    s = _mix_seed(C.p, C.a, C.b, seed & _M64)
-    P, _ = _sample_point(C.p, C.a, C.b, s)
-    return P
-
-
 # ---------------------------------------------------------------------------
 # group order
 
@@ -247,114 +212,15 @@ def _order_exhaustive(p, a, b):
     return p + 1 + int(chi[(x * x % p * x + a * x + b) % p].sum())
 
 
-def _window_annihilators(P, p, a, lo, hi):
-    """Sorted multiples of ord(P) inside [lo, hi], by baby-step giant-step.
-
-    Walks j*P for j < m as baby steps, then (lo + i*m)*P as giant steps.
-    An x-coordinate collision resolves to lo + i*m + j or lo + i*m - j by
-    the y sign, and either way the resolved value is a genuine
-    annihilator of P, so no verification multiplication is needed.
-    Every multiple of ord(P) in the window is emitted; stray annihilators
-    outside it are filtered before returning.
-    """
-    width = hi - lo + 1
-    m = isqrt(width - 1) + 1
-    tab = {P[0]: (1, P[1])}
-    B = P
-    order = 0
-    for j in range(2, m):
-        # baby step B_j = B_{j-1} + P; the walk meets O first at j = ord(P)
-        B = _add_raw(B, P, p, a)
-        if B is None:
-            order = j
-            break
-        tab.setdefault(B[0], (j, B[1]))
-    G = None
-    if not order:
-        G = _mul_raw(m, P, p, a)
-        if G is None:
-            # not annihilated below m but killed by m, so ord(P) = m
-            order = m
-        else:
-            # ord in [m, 2m) makes the baby table mirror-collide and the
-            # giant scan incomplete, but then G = m*P = -(j*P) sits in the
-            # table and pins the order to m + j exactly; ord >= 2m keeps
-            # every baby x distinct and the scan below is complete.
-            hit = tab.get(G[0])
-            if hit is not None:
-                j, yj = hit
-                if G[1] != (p - yj) % p:
-                    raise AssertionError(f"impossible giant-stride collision p={p}")
-                order = m + j
-    if order:
-        first = ((lo + order - 1) // order) * order
-        return list(range(first, hi + 1, order))
-    T = _mul_raw(lo, P, p, a)
-    hits = []
-    base = lo
-    for _ in range((width - 1) // m + 2):
-        if T is None:
-            hits.append(base)
-        else:
-            tx, ty = T
-            hit = tab.get(tx)
-            if hit is not None:
-                j, yj = hit
-                if ty == p - yj or yj == 0:
-                    hits.append(base + j)
-                if ty == yj:
-                    hits.append(base - j)
-        T = _add_raw(T, G, p, a)
-        base += m
-    out = sorted(k for k in set(hits) if lo <= k <= hi)
-    if not out:
-        raise AssertionError(f"window scan lost the group order at p={p}")
-    return out
-
-
 def group_order(C: ReducedCurve) -> int:
     """Number of points on C including infinity; always exact.
 
-    Below 2**10 the count is exhaustive.  Above, one loop samples points
-    as the lanes of group_orders do, on C or on its quadratic twist
-    (whose order is 2p + 2 - n), from the tag-2 stream.  A unique
-    multiple of a point's order in the Hasse window settles n; else n is
-    the one window value k, if one is left, with L_E | k and
-    L_T | 2p + 2 - k, the lcms of the point orders found on each side.
-    By Mestre's theorem one side has a point of unique multiple for
-    p > 457.  This is the single-prime path: group_orders calls it for
-    every prime its lanes leave open, and the tests take it as the
-    lanes' reference.
+    Below 2**10 the count is exhaustive; from 2**10 on it is group_orders
+    on the one prime, and p >= 2**32 raises ValueError.
     """
-    p, a, b = C.p, C.a, C.b
-    if p < _EXHAUSTIVE_BELOW:
-        return _order_exhaustive(p, a, b)
-    t = isqrt(4 * p)
-    lo, hi = p + 1 - t, p + 1 + t
-    total = 2 * p + 2
-    e2 = (p - 1) >> 1
-    s = _mix_seed(p, a, b, 2)
-    L = [1, 1]  # lcm of the point orders found on C and on its twist
-    for _ in range(_SAMPLE_BUDGET):
-        c = 0
-        while c == 0:  # x0^3 + a x0 + b has at most three roots
-            s, z = _next64(s)
-            x = z % p
-            c = (x * x % p * x + a * x + b) % p
-        cc = c * c % p
-        twisted = pow(c, e2, p) != 1
-        anni = _window_annihilators((x * c % p, cc), p, a * cc % p, lo, hi)
-        if len(anni) == 1:
-            return total - anni[0] if twisted else anni[0]
-        n = anni[1] - anni[0]  # consecutive window multiples differ by ord(P)
-        L[twisted] = L[twisted] * n // gcd(L[twisted], n)
-        # walk the window by the larger lcm, test the other
-        step, r = max((L[0], 0), (L[1], total % L[1]))
-        cands = [k for k in range(lo + (r - lo) % step, hi + 1, step)
-                 if k % L[0] == 0 and (total - k) % L[1] == 0]
-        if len(cands) == 1:
-            return cands[0]
-    raise IterationCap(f"group order over F_{p} unresolved after {_SAMPLE_BUDGET} points")
+    if C.p < _EXHAUSTIVE_BELOW:
+        return _order_exhaustive(C.p, C.a, C.b)
+    return group_orders(C.a, C.b, [C.p])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +376,11 @@ def _lane_orders(ps, As, xs, ys, shifted=False):
     stays open: a giant at infinity, or a doubling the formula cannot
     take.  A giant's k does not depend on P, so when the group order n is
     one of them, every point of order n lands on infinity there; the
-    shifted giants put n on a baby offset instead.  With ord(P) > 2m + 1 the babies' x are distinct and
-    each match is one annihilator of P; the window's multiples of ord(P)
-    are all among them.  Returns per lane that multiple when it is
-    unique, else 0, and the lanes not settled by reason.
+    shifted giants put n on a baby offset instead.  With ord(P) > 2m + 1
+    the babies' x are distinct and each match is one annihilator of P; the
+    window's multiples of ord(P) are all among them, so two consecutive
+    ones differ by ord(P).  Returns per lane that multiple when it is
+    unique, else 0, and ord(P) when there are several, else 0.
     """
     p, a, x, y = (np.asarray(v, dtype=np.uint64) for v in (ps, As, xs, ys))
     n = len(p)
@@ -573,28 +440,30 @@ def _lane_orders(ps, As, xs, ys, shifted=False):
     keep = (k >= lo[li]) & (k <= hi[li])
     found = np.sort((li[keep].astype(np.int64) << 34) | k[keep])
     found = found[np.diff(found, prepend=-1) != 0]
-    count = np.bincount(found >> 34, minlength=n)
-    orders = np.zeros(n, dtype=np.int64)
-    orders[found >> 34] = found & ((1 << 34) - 1)
-
-    degenerate = ~small & ~g_ok
+    li, k = found >> 34, found & ((1 << 34) - 1)
+    count = np.bincount(li, minlength=n)
     scanned = ~small & g_ok
     if (scanned & (count == 0)).any():
         lost = p[int(np.argmax(scanned & (count == 0)))]
         raise AssertionError(f"lane scan lost the group order over F_{lost}")
-    several = scanned & (count > 1)
-    orders[~scanned | several] = 0
-    return orders, {"scalar_small_order": int(small.sum()),
-                    "scalar_degenerate": int(degenerate.sum()),
-                    "scalar_multiples": int(several.sum())}
+    orders = np.zeros(n, dtype=np.int64)
+    orders[li] = k
+    orders[~scanned | (count > 1)] = 0
+    gaps = np.zeros(n, dtype=np.int64)
+    pair = li[1:] == li[:-1]
+    gaps[li[1:][pair]] = np.diff(k)[pair]
+    gaps[~scanned] = 0
+    return orders, gaps
 
 
 def _lane_pass(p, a, b, s, stats, shifted=False):
     """One lane scan of the primes p with coefficient residues a and b:
     each lane draws its next point from its tag-1 stream state in s,
     which advances in place, and shifted goes to _lane_orders.  Returns
-    the orders, 0 where the lane stays open; stats receives
-    _lane_orders' counts and lanes_twisted."""
+    per lane the settled order, mapped back from the twist (0 while the
+    lane is open), ord(P) where the window held several multiples of it
+    (else 0), and whether P lay on the twist; stats receives lane_points
+    and lanes_twisted."""
     x = np.zeros_like(p)
     redo = np.ones(len(p), dtype=bool)
     while redo.any():  # x0^3 + a x0 + b has at most three roots
@@ -606,66 +475,96 @@ def _lane_pass(p, a, b, s, stats, shifted=False):
     ac, xc = a * cc % p, x * c % p
     twisted = _lane_pow(c, (p - 1) >> 1, p) != 1
     n = np.empty(len(p), dtype=np.int64)
+    gaps = np.empty(len(p), dtype=np.int64)
     slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
     for k in range(slices):
         part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
-        n[part], why = _lane_orders(p[part], ac[part], xc[part], cc[part], shifted)
-        stats.update(why)
+        n[part], gaps[part] = _lane_orders(p[part], ac[part], xc[part], cc[part], shifted)
+    stats["lane_points"] += len(p)
     stats["lanes_twisted"] += int(twisted.sum())
-    return np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n)
+    return np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n), gaps, twisted
+
+
+def _window_order(p, L):
+    """Per lane the one k in the Hasse window of p with L[0] | k and
+    L[1] | 2p + 2 - k, else 0.  Walks the window by the larger lcm and
+    tests the other; a lane's lcms come from points of order above
+    2m + 1, so a lane takes at most about m steps."""
+    t = np.sqrt(4 * p.astype(np.float64)).astype(np.int64)  # isqrt(4p), exact below 2**52
+    lo = p.astype(np.int64) + 1 - t
+    total = 2 * p.astype(np.int64) + 2
+    step = L.max(axis=0)
+    first = lo + (np.where(L[1] > L[0], total % L[1], 0) - lo) % step
+    k = first + step * np.arange(int((2 * t // step).max()) + 1)[:, None]
+    ok = (k <= lo + 2 * t) & (k % L[0] == 0) & ((total - k) % L[1] == 0)
+    return np.where(ok.sum(axis=0) == 1, (k * ok).sum(axis=0), 0)
 
 
 def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     """group_order of y^2 = x^3 + Ax + B at each prime, all of good reduction.
 
-    Primes in [2**10, 2**32) run baby-step giant-step together in numpy
-    lanes, in slices of equal size holding up to _BABY_ENTRIES baby-table
-    entries (_baby_rows per lane, set by the largest prime): about 1.6k
-    lanes at p ~ 2*10**5, 135 near 2**32.  No lane takes a square root.
-    Each draws x0 from the splitmix64 stream of (p, a, b), again while
-    c = x0^3 + a x0 + b is 0, and scans the point (x0 c, c^2) of
-    E_c: y^2 = x^3 + a c^2 x + b c^3, which is E for a square c and the
-    quadratic twist of E otherwise; one powmod c^((p-1)/2) tells which,
-    and a twist's settled order n_c maps back to 2p + 2 - n_c.  A lane
-    settles by the scalar rule: exactly one multiple of the point's order
-    in the Hasse window.  The lanes the first pass leaves open draw their
-    next point from the same stream and are scanned again in a second
-    lane pass, with its giants half a stride off the first pass's, so a
-    group order that fell on a giant falls on a baby offset; every prime
-    still open goes to group_order.
+    Primes below 2**10 go to group_order's exhaustive count, and p >= 2**32
+    raises ValueError.  The others run baby-step giant-step together in
+    numpy lanes, in slices of equal size holding up to _BABY_ENTRIES
+    baby-table entries (_baby_rows per lane, set by the largest prime):
+    about 1.6k lanes at p ~ 2*10**5, 135 near 2**32.  No lane takes a
+    square root.  Each draws x0 from the splitmix64 stream of (p, a, b),
+    again while c = x0^3 + a x0 + b is 0, and scans the point (x0 c, c^2)
+    of E_c: y^2 = x^3 + a c^2 x + b c^3, which is E for a square c and
+    the quadratic twist of E otherwise; one powmod c^((p-1)/2) tells
+    which, and a twist's settled order n_c maps back to 2p + 2 - n_c.
+
+    Lane passes run over the lanes still open until none is, each on the
+    lane's next point, with the giants half a stride off on every other
+    pass, so a group order that fell on a giant falls on a baby offset.
+    A lane settles on exactly one multiple of its point's order in the
+    Hasse window.  A point with several gives its order, folded into one
+    lcm per side, L_E on E and L_T on the twist, and the lane settles when
+    exactly one window value k has L_E | k and L_T | 2p + 2 - k.  By
+    Mestre's theorem one side has a point of unique multiple for p > 457.
+    A lane still open after _SAMPLE_BUDGET points raises IterationCap.
 
     stats, a Counter when given, receives the number of orders settled in
-    lanes (orders_batched), of lanes scanned again (lanes_retried) and of
-    lanes on the twist over the two passes (lanes_twisted), and the
-    orders left to group_order (orders_scalar) by reason: p outside
-    the lane range (scalar_p_range), and, as the second pass found it, a
-    point of order at most 2m + 1 (scalar_small_order), a degenerate step
-    (scalar_degenerate), and several multiples in the window
-    (scalar_multiples).
+    lanes (orders_batched) and counted exhaustively (orders_exhaustive),
+    of points scanned (lane_points), of them on the twist (lanes_twisted),
+    and of lane passes (lane_passes).
     """
+    if any(p >= _LANE_LIMIT for p in primes):
+        raise ValueError("group orders need primes below 2**32")
     counts = Counter()
-    index = [i for i, p in enumerate(primes) if _EXHAUSTIVE_BELOW <= p < _LANE_LIMIT]
-    counts["scalar_p_range"] = len(primes) - len(index)
+    index = [i for i, p in enumerate(primes) if p >= _EXHAUSTIVE_BELOW]
     out = [0] * len(primes)
     if index:
         p = np.array([primes[i] for i in index], dtype=np.uint64)
         a, b = _lane_residues(A, p), _lane_residues(B, p)
         s = _mix_seed(p, a, b, 1)
-        first = Counter()
-        n = _lane_pass(p, a, b, s, first)
-        # the second pass's reasons are the ones that reach group_order
-        counts.update({k: v for k, v in first.items() if k.startswith("lanes_")})
-        retry = np.flatnonzero(n == 0)
-        counts["lanes_retried"] = len(retry)
-        if len(retry):
-            n[retry] = _lane_pass(p[retry], a[retry], b[retry], s[retry], counts, True)
+        n = np.zeros(len(p), dtype=np.int64)
+        L = np.ones((2, len(p)), dtype=np.int64)  # lcms of point orders on E and its twist
+        lanes = np.arange(len(p))
+        for k in range(_SAMPLE_BUDGET):
+            if not len(lanes):
+                break
+            state = s[lanes]
+            n[lanes], gaps, twisted = _lane_pass(p[lanes], a[lanes], b[lanes], state,
+                                                 counts, k % 2 == 1)
+            s[lanes] = state
+            counts["lane_passes"] += 1
+            several = np.flatnonzero(gaps)
+            if len(several):
+                side, i = twisted[several].astype(np.intp), lanes[several]
+                L[side, i] = np.lcm(L[side, i], gaps[several])
+                n[i] = _window_order(p[i], L[:, i])
+            lanes = lanes[n[lanes] == 0]
+        if len(lanes):
+            raise IterationCap(f"group order over F_{p[lanes[0]]} unresolved after "
+                               f"{_SAMPLE_BUDGET} points")
         for i, order in zip(index, n.tolist()):
             out[i] = order
-    counts["orders_batched"] = sum(1 for order in out if order)
-    counts["orders_scalar"] = len(primes) - counts["orders_batched"]
-    for i, p in enumerate(primes):
-        if not out[i]:
-            out[i] = group_order(ReducedCurve(p, A % p, B % p))
+    counts["orders_batched"] = len(index)
+    counts["orders_exhaustive"] = len(primes) - len(index)
+    for i, q in enumerate(primes):
+        if q < _EXHAUSTIVE_BELOW:
+            out[i] = group_order(ReducedCurve(q, A % q, B % q))
     if stats is not None:
         stats.update(counts)
     return out
@@ -781,24 +680,6 @@ def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> list[dict[
         if stats is not None:
             stats["frobenius_lanes"] += len(lanes)
     return out
-
-
-def point_order(P, N: int, C: ReducedCurve) -> int:
-    """Exact order of P given any annihilating multiple N (e.g. the group order)."""
-    p, a = C.p, C.a
-    if P is None:
-        return 1
-    if _mul_raw(N, P, p, a) is not None:
-        raise BadWitness(f"claimed multiple {N} does not annihilate the point")
-    n = N
-    for q, e in factorize(N):
-        for _ in range(e):
-            m = n // q
-            if _mul_raw(m, P, p, a) is None:
-                n = m
-            else:
-                break
-    return n
 
 
 # ---------------------------------------------------------------------------

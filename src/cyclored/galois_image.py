@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .curve import BadReduction, CurveOverQ, group_order, reduce
+from .curve import CurveOverQ, group_order, group_orders, reduce
 from .modmath import is_prime, legendre, sieve_primes
 
 DEFAULT_SAMPLE_BOUND = 10**4
@@ -108,11 +108,24 @@ def two_division_degree(curve: CurveOverQ) -> int:
 
 def frobenius_trace(curve: CurveOverQ, p: int) -> int:
     """a_p = p + 1 - #E(F_p) for a prime of good reduction."""
+    if not is_prime(p):
+        raise ValueError(f"not a prime: {p}")
     N = group_order(reduce(curve, p))
     a = p + 1 - N
     if a * a > 4 * p:
         raise AssertionError(f"trace {a} at {p} violates the Hasse bound")
     return a
+
+
+def _group_orders_in_batches(curve: CurveOverQ, bound: int, l: int):
+    """(p, #E(F_p)) for the good primes p <= bound other than l, in order."""
+    primes = [p for p in sieve_primes(bound) if p != l and curve.delta_E % p]
+    start, size = 0, 64
+    while start < len(primes):
+        batch = primes[start : start + size]
+        yield from zip(batch, group_orders(curve.A, curve.B, batch))
+        start += size
+        size *= 2
 
 
 def certify_surjective(
@@ -121,6 +134,8 @@ def certify_surjective(
     """Sample Frobenius data at good primes p <= sample_bound and try to
     witness that the mod-l image is the full matrix group.
 
+    The group orders come from curve.group_orders in batches of 64, 128,
+    256, ... primes, so a run that certifies early pays for few of them.
     Witnesses over pairs (t, d) = (a_p mod l, p mod l) with t != 0:
     W1 needs t^2 - 4d a nonzero non-square, W2 a nonzero square, and W3
     a ratio u = t^2/d outside {0, 1, 2, 4} with u^2 - 3u + 1 != 0.
@@ -135,13 +150,8 @@ def certify_surjective(
     pairs: set[tuple[int, int]] = set()
     samples = 0
     certifiable = l >= 5
-    for p in sieve_primes(sample_bound):
-        if p == l:
-            continue
-        try:
-            t = frobenius_trace(curve, p) % l
-        except BadReduction:
-            continue
+    for p, n in _group_orders_in_batches(curve, sample_bound, l):
+        t = (p + 1 - n) % l
         samples += 1
         d = p % l
         pairs.add((t, d))

@@ -12,10 +12,6 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 
-class NotAResidue(Exception):
-    """Raised by sqrt_mod when the argument is a quadratic non-residue."""
-
-
 class LimitTooLarge(Exception):
     """Raised by sieve_primes when the requested bound exceeds 2**32."""
 
@@ -35,20 +31,6 @@ def legendre(a: int, p: int) -> int:
         return 0
     t = pow(a, (p - 1) >> 1, p)
     return 1 if t == 1 else -1
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """Square root of a modulo an odd prime p, canonicalized to min(r, p-r).
-
-    Raises NotAResidue when (a|p) = -1.  a = 0 maps to 0.  Otherwise this
-    is sqrt_residue.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    if legendre(a, p) != 1:
-        raise NotAResidue(f"{a} is not a square mod {p}")
-    return sqrt_residue(a, p)
 
 
 @lru_cache(maxsize=64)

@@ -1,17 +1,21 @@
 """Shared brute-force oracles for the test suite.
 
 The oracles never call the code paths they validate: point counting is
-a full quadratic-residue scan, group invariants come from the order
-statistics of every single point or from counts of torsion points, and
-truncated Euler products are exact Fractions.
+a full quadratic-residue scan, group orders above 10^4 come from a
+one-prime baby-step giant-step in Python on this module's group law,
+group invariants come from the order statistics of every single point or
+from counts of torsion points, and truncated Euler products are exact
+Fractions.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
-from cyclored.curve import ReducedCurve
+import numpy as np
+
 from cyclored.modmath import sieve_primes
 
 FIVE_CURVES = [
@@ -34,6 +38,15 @@ def brute_points(p: int, a: int, b: int) -> list:
         for y in roots.get(rhs, ()):
             pts.append((x, y))
     return pts
+
+
+def brute_count(p: int, a: int, b: int) -> int:
+    """len(brute_points(p, a, b)), counted in numpy: one plus the number
+    of pairs (x, y) with y^2 = x^3 + ax + b, found by tabling how many y
+    square to each residue."""
+    v = np.arange(p, dtype=np.int64)
+    roots = np.bincount(v * v % p, minlength=p)
+    return 1 + int(roots[(v * v % p * v + a * v + b) % p].sum())
 
 
 def brute_add(P, Q, p, a):
@@ -70,6 +83,94 @@ def brute_point_order(P, p, a) -> int:
         T = brute_add(T, P, p, a)
         n += 1
     return n
+
+
+def _window_multiples(P, p, a, lo, hi):
+    """Sorted multiples of ord(P) inside [lo, hi], by baby-step giant-step.
+
+    Walks j*P for j < m as baby steps, then (lo + i*m)*P as giant steps.
+    An x-coordinate collision resolves to lo + i*m + j or lo + i*m - j by
+    the y sign, and either way the resolved value is a genuine multiple of
+    ord(P).  Every multiple in the window is emitted.
+    """
+    width = hi - lo + 1
+    m = isqrt(width - 1) + 1
+    tab = {P[0]: (1, P[1])}
+    B = P
+    order = 0
+    for j in range(2, m):
+        # the baby walk meets O first at j = ord(P)
+        B = brute_add(B, P, p, a)
+        if B is None:
+            order = j
+            break
+        tab.setdefault(B[0], (j, B[1]))
+    G = None
+    if not order:
+        G = brute_mul(m, P, p, a)
+        if G is None:
+            order = m
+        else:
+            # ord in [m, 2m) makes the baby table mirror-collide and the
+            # giant scan incomplete, but then G = m*P = -(j*P) sits in the
+            # table and pins the order to m + j exactly; ord >= 2m keeps
+            # every baby x distinct and the giant scan complete
+            hit = tab.get(G[0])
+            if hit is not None:
+                assert G[1] == (p - hit[1]) % p
+                order = m + hit[0]
+    if order:
+        return list(range(-(-lo // order) * order, hi + 1, order))
+    T = brute_mul(lo, P, p, a)
+    hits = []
+    base = lo
+    for _ in range((width - 1) // m + 2):
+        if T is None:
+            hits.append(base)
+        else:
+            hit = tab.get(T[0])
+            if hit is not None:
+                j, yj = hit
+                if T[1] == p - yj or yj == 0:
+                    hits.append(base + j)
+                if T[1] == yj:
+                    hits.append(base - j)
+        T = brute_add(T, G, p, a)
+        base += m
+    return sorted(k for k in set(hits) if lo <= k <= hi)
+
+
+def scalar_group_order(p: int, a: int, b: int) -> int:
+    """#E(F_p) for a prime p > 457 of good reduction, one point at a time:
+    a seeded point on the curve or on its quadratic twist (the point
+    (x c, c^2) of y^2 = x^3 + a c^2 x + b c^3 for c = x^3 + ax + b), its
+    window multiples by _window_multiples, and the lcms L_E, L_T of the
+    point orders found on each side, until one window value k has
+    L_E | k and L_T | 2p + 2 - k."""
+    t = isqrt(4 * p)
+    lo, hi = p + 1 - t, p + 1 + t
+    total = 2 * p + 2
+    rng = random.Random(p * 1_000_003 + a * 1009 + b)
+    L = [1, 1]
+    for _ in range(64):
+        x = rng.randrange(p)
+        c = (x * x * x + a * x + b) % p
+        if c == 0:
+            continue
+        cc = c * c % p
+        twisted = pow(c, (p - 1) >> 1, p) != 1
+        multiples = _window_multiples((x * c % p, cc), p, a * cc % p, lo, hi)
+        if len(multiples) == 1:
+            return total - multiples[0] if twisted else multiples[0]
+        n = multiples[1] - multiples[0]
+        L[twisted] = L[twisted] * n // gcd(L[twisted], n)
+        # walk the window by the larger lcm, test the other
+        step, r = max((L[0], 0), (L[1], total % L[1]))
+        cands = [k for k in range(lo + (r - lo) % step, hi + 1, step)
+                 if k % L[0] == 0 and (total - k) % L[1] == 0]
+        if len(cands) == 1:
+            return cands[0]
+    raise AssertionError(f"no group order over F_{p} after 64 points")
 
 
 def brute_structure(p: int, a: int, b: int) -> tuple[int, int, int]:
@@ -109,10 +210,6 @@ def brute_first_invariant(p: int, a: int, b: int) -> int:
             k += 1
         d *= l**k
     return d
-
-
-def reduced(A: int, B: int, p: int) -> ReducedCurve:
-    return ReducedCurve(p, A % p, B % p)
 
 
 def _euler_product(L: int, degree_of, skip=None) -> Fraction | None:

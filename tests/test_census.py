@@ -15,7 +15,7 @@ from cyclored.census import (
     run_census,
     split_count,
 )
-from cyclored.curve import CurveOverQ, group_structure, reduce
+from cyclored.curve import CurveOverQ, group_orders, group_structure, reduce
 from cyclored.modmath import is_prime, sieve_primes
 
 E1 = CurveOverQ(-3, 1)
@@ -65,14 +65,16 @@ def test_classify_prime_against_brute_force():
 def test_classify_prime_matches_group_structure():
     # classify_prime takes the census path on its one prime: the lanes from
     # 2^10 on, the Frobenius lanes and the structure that takes their
-    # answers.  It must agree with the scalar group_structure everywhere.
+    # answers.  It must agree with the sampled group_structure everywhere.
     for E in (E1, E2):
-        for p in sieve_primes(3000):
+        primes = sieve_primes(3000)
+        orders = iter(group_orders(E.A, E.B, [p for p in primes if E.delta_E % p]))
+        for p in primes:
             cls = classify_prime(E, p)
             if E.delta_E % p == 0:
                 assert cls.status == "bad_reduction", p
                 continue
-            d = group_structure(reduce(E, p)).d
+            d = group_structure(reduce(E, p), next(orders)).d
             assert cls.status == ("cyclic" if d == 1 else "non_cyclic"), (E, p)
             assert cls.obstruction_primes == tuple(q for q in range(2, d + 1)
                                                    if d % q == 0 and is_prime(q)), (E, p)
@@ -141,6 +143,13 @@ def test_checkpoint_resume_matches_scratch(tmp_path, monkeypatch):
         reused, chunks - reused)
     assert (scratch.extra["chunks_reused"], scratch.extra["chunks_computed"]) == (0, chunks)
     assert strip_elapsed(half) == strip_elapsed(run_census(E1, 2500))
+    # the run counters count the computed chunks' primes (2 and 3, the bad
+    # primes, lie in a reused chunk) and stay out of the records
+    computed = resumed.extra["orders_batched"] + resumed.extra["orders_exhaustive"]
+    assert computed == scratch.total_primes - 64 * reused
+    assert all(resumed.extra[k] <= scratch.extra[k] for k in census._RUN_COUNTS)
+    assert not any(set(json.loads(line)) & set(census._RUN_COUNTS)
+                   for line in open(ck).read().splitlines())
 
     # a third run over the same bound reuses every chunk without rewriting
     before = open(ck).read()
@@ -183,12 +192,22 @@ def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
     with pytest.raises(CheckpointCorrupt):
         run_census(E1, 1500, checkpoint=ck)
 
-    # record with inconsistent counts
-    rec = dict(json.loads(good_lines[1]))
-    rec["cyclic"] = rec["good"] + 5
-    rewrite([good_lines[0], json.dumps(rec)] + good_lines[2:])
-    with pytest.raises(CheckpointCorrupt):
-        run_census(E1, 1500, checkpoint=ck)
+    # records with inconsistent counts: cyclic above good, negative cyclic
+    # or split counts, a split count above good
+    first = json.loads(good_lines[1])
+    for field, value in (("cyclic", first["good"] + 5), ("cyclic", -1),
+                         ("split", dict(first["split"], **{"2": -1})),
+                         ("split", dict(first["split"], **{"3": first["good"] + 1}))):
+        rewrite([good_lines[0], json.dumps(dict(first, **{field: value}))] + good_lines[2:])
+        with pytest.raises(CheckpointCorrupt, match="counts are inconsistent"):
+            run_census(E1, 1500, checkpoint=ck)
+
+    # records whose bad primes lie outside the chunk or are out of order
+    assert first["bad"] == [2, 3]
+    for bad in ([2, first["last"] + 2], [first["first"] - 1, 3], [3, 2], [2, 2]):
+        rewrite([good_lines[0], json.dumps(dict(first, bad=bad))] + good_lines[2:])
+        with pytest.raises(CheckpointCorrupt, match="bad primes"):
+            run_census(E1, 1500, checkpoint=ck)
 
     # two conflicting copies of one chunk
     rec = dict(json.loads(good_lines[1]))
@@ -317,18 +336,20 @@ def test_workers_agree(tmp_path, monkeypatch):
     solo = run_census(E2, 3000, workers=1)
     duo = run_census(E2, 3000, workers=2)
     assert strip_elapsed(solo) == strip_elapsed(duo)
-    # The run counters are deterministic: the same with one worker or two,
-    # and every good prime's order comes from the lanes or from group_order.
+    # The run counters are deterministic: the same with one worker or two.
+    # Every good prime's order is counted exhaustively below 2^10 and
+    # settled in the lanes above, on one point or more, each on the curve
+    # or on its twist, in one lane pass or more per chunk, more in some.
     assert solo.extra == duo.extra
-    assert solo.extra["orders_batched"] + solo.extra["orders_scalar"] == solo.good_primes
-    assert solo.extra["orders_batched"] > 0 and solo.extra["two_by_discriminant"] > 0
-    # the report carries group_orders' routes, and each scalar order has one reason
-    reasons = ("scalar_p_range", "scalar_small_order", "scalar_degenerate",
-               "scalar_multiples")
-    assert sum(solo.extra[k] for k in reasons) == solo.extra["orders_scalar"]
-    assert solo.extra["scalar_p_range"] > 0
-    assert solo.extra["lanes_twisted"] > 0
-    assert solo.extra["lanes_retried"] > 0
+    primes = sieve_primes(3000)
+    good = [p for p in primes if E2.delta_E % p]
+    assert solo.extra["orders_exhaustive"] == sum(1 for p in good if p < 1 << 10)
+    assert solo.extra["orders_batched"] == sum(1 for p in good if p > 1 << 10)
+    assert solo.extra["orders_batched"] < solo.extra["lane_points"]
+    assert 0 < solo.extra["lanes_twisted"] < solo.extra["lane_points"]
+    lane_chunks = sum(1 for k in range(0, len(primes), 64) if primes[k : k + 64][-1] > 1 << 10)
+    assert solo.extra["lane_passes"] > lane_chunks
+    assert solo.extra["two_by_discriminant"] > 0
     # the lanes decide full 3-, 4- and 5-torsion, the sampler what they leave
     assert solo.extra["frobenius_lanes"] > solo.extra["sylow_sampled"] > 0
 

@@ -103,6 +103,10 @@ def test_frobenius_trace_small():
         assert frobenius_trace(E1, p) == 0
     with pytest.raises(BadReduction):
         frobenius_trace(E, 2)
+    # composites, one of them a product of two primes above 2^10
+    for n in (15, 1031 * 1033):
+        with pytest.raises(ValueError, match="not a prime"):
+            frobenius_trace(CurveOverQ(-3, 1), n)
 
 
 def test_frobenius_trace_hasse_and_consistency():

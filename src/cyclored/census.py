@@ -18,6 +18,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .curve import (
     CurveOverQ,
     ReducedCurve,
@@ -32,10 +34,13 @@ from .utils import truncate_decimal
 CHUNK_SIZE = 4096
 SPLIT_PRIMES = (2, 3, 5, 7)  # the primes l whose counts of l | d a report carries
 _CHECKPOINT_VERSION = 1
-# curve.group_orders', curve.full_torsion_lanes' and curve.group_structure's
-# counters that CensusReport.extra carries
+# curve.group_orders', curve.full_torsion_lanes', _obstructions' and
+# curve.group_structure's counters that CensusReport.extra carries
 _RUN_COUNTS = ("orders_batched", "orders_exhaustive", "lane_points", "lane_passes",
-               "lanes_twisted", "two_by_discriminant", "frobenius_lanes", "sylow_sampled")
+               "lanes_twisted", "two_by_discriminant", "frobenius_lanes", "structure_exact",
+               "sylow_sampled")
+# the primes among 2, 3 and 5 named by the bits of k, for k < 8
+_SUPPORTS = [tuple(l for j, l in enumerate((2, 3, 5)) if k >> j & 1) for k in range(8)]
 
 
 class CheckpointCorrupt(Exception):
@@ -105,38 +110,50 @@ class CensusReport:
         }
 
 
-def _first_invariants(curve: CurveOverQ, primes, stats=None):
-    """Yield (p, d) for each prime: d is the first invariant factor of the
-    reduced point group, and 0 marks a prime of bad reduction.
+def _obstructions(curve: CurveOverQ, primes, stats=None) -> list[tuple[int, ...] | None]:
+    """Per prime, the primes l dividing the first invariant factor d of the
+    reduced point group, that is those with E[l] in E(F_p), or None at a
+    prime of bad reduction.
 
-    The group orders come from one curve.group_orders call over the good
-    primes and the full 3-, 4- and 5-torsion from one
-    curve.full_torsion_lanes call; stats, a Counter when given, receives
-    their counts and those of curve.group_structure."""
+    One curve.group_orders call gives the group orders n of the good
+    primes, and one curve.full_torsion_lanes call decides l | d for
+    l = 2, 3 and 5.  A larger l divides d only if it divides
+    g = gcd(n, p - 1): the primes whose g keeps a factor once 2, 3 and 5
+    are divided out take d from curve.group_structure, which is exact.
+    stats, a Counter when given, receives the counts of those three
+    functions and the number of primes sent to group_structure
+    (structure_exact)."""
     A, B, delta = curve.A, curve.B, curve.delta_E
     good = [p for p in primes if delta % p]
     orders = group_orders(A, B, good, stats)
-    known = iter(zip(orders, full_torsion_lanes(A, B, good, orders, stats)))
-    for p in primes:
-        if delta % p:
-            n, full = next(known)
-            yield p, group_structure(ReducedCurve(p, A % p, B % p), n, stats, full).d
-        else:
-            yield p, 0
+    full = full_torsion_lanes(A, B, good, orders, stats)
+    g = np.gcd(np.array(orders, dtype=np.int64), np.array(good, dtype=np.int64) - 1)
+    for power in (2**32, 3**21, 5**14):  # above any power of 2, 3 or 5 dividing g
+        g //= np.gcd(g, power)
+    support = full[2] | full[3] << 1 | full[5] << 2
+    obst = [_SUPPORTS[k] for k in support.tolist()]
+    exact = np.flatnonzero(g > 1).tolist()
+    for i in exact:
+        p, n = good[i], orders[i]
+        d = group_structure(ReducedCurve(p, A % p, B % p), n, stats,
+                            {3: bool(full[3][i]), 5: bool(full[5][i])}).d
+        obst[i] = tuple(q for q, _ in factorize(d))
+    if stats is not None:
+        stats["structure_exact"] += len(exact)
+    known = iter(obst)
+    return [next(known) if delta % p else None for p in primes]
 
 
-def _classify(p: int, d: int) -> tuple[int, str, tuple[int, ...]]:
-    """(p, status, obstruction primes) from the first invariant d."""
-    if d == 0:
+def _classify(p: int, obst: tuple[int, ...] | None) -> tuple[int, str, tuple[int, ...]]:
+    """(p, status, obstruction primes) from the primes dividing d."""
+    if obst is None:
         return p, "bad_reduction", ()
-    if d == 1:
-        return p, "cyclic", ()
-    return p, "non_cyclic", tuple(q for q, _ in factorize(d))
+    return p, "non_cyclic" if obst else "cyclic", obst
 
 
 def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     """Classify one prime: bad reduction, cyclic group, or non-cyclic group,
-    by the census's own path (_first_invariants on the one prime).
+    by the census's own path (_obstructions on the one prime).
 
     For non-cyclic groups the obstruction primes are the prime divisors of
     the first group invariant d (the primes with full torsion at p).  A
@@ -145,7 +162,7 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     """
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
-    return PrimeClassification(*_classify(*next(_first_invariants(curve, [p]))))
+    return PrimeClassification(*_classify(p, _obstructions(curve, [p])[0]))
 
 
 def _classify_chunk(args):
@@ -153,24 +170,27 @@ def _classify_chunk(args):
 
     Module-level so multiprocessing can pickle it.  Returns the chunk
     record, per-prime rows when requested, and the chunk's counts from
-    _first_invariants, which stay out of the record: resume compares
+    _obstructions, which stay out of the record: resume compares
     records for equality.
     """
     curve, primes, want_rows = args
     counts = Counter()
-    rows = [_classify(p, d) for p, d in _first_invariants(curve, primes, counts)]
-    bad = [p for p, status, _ in rows if status == "bad_reduction"]
+    obst = _obstructions(curve, primes, counts)
+    tally = Counter(obst)  # None for a bad prime, () for a cyclic one
+    bad = [p for p, o in zip(primes, obst) if o is None]
     record = {
         "kind": "chunk",
         "first": primes[0],
         "last": primes[-1],
         "count": len(primes),
         "good": len(primes) - len(bad),
-        "cyclic": sum(status == "cyclic" for _, status, _ in rows),
+        "cyclic": tally[()],
         "bad": bad,
-        "split": {str(l): sum(l in obst for _, _, obst in rows) for l in SPLIT_PRIMES},
+        "split": {str(l): sum(k for o, k in tally.items() if o and l in o)
+                  for l in SPLIT_PRIMES},
     }
-    return record, rows if want_rows else None, counts
+    rows = list(map(_classify, primes, obst)) if want_rows else None
+    return record, rows, counts
 
 
 def _load_checkpoint(path: str, a: int, b: int) -> dict:
@@ -357,10 +377,11 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     progression go to one curve.full_ell_torsion call; p = l never does.
 
     For l = 2 that call asks whether the cubic x^3 + ax + b splits over
-    F_p, which the census decides from the discriminant and 4 | n instead;
-    for odd l it samples the l-Sylow subgroup, where the census takes
-    l = 3, 5 from Frobenius on the division polynomials.  So for l <= 5
-    this count and the census's split count are two different
+    F_p, by x^p == x modulo the cubic; for odd l it samples the l-Sylow
+    subgroup.  The census decides l = 2 by a Legendre symbol of the
+    discriminant where 4 | n, l = 3, 5 by Frobenius on the division
+    polynomials, and l >= 7 by curve.group_structure's exact d.  So for
+    l <= 5 this count and the census's split count are two different
     computations of l | d.
     """
     if not is_prime(l):
@@ -389,8 +410,8 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     Counts good p <= x with no full l-torsion for any prime l | n two ways:
     directly, and as sum over squarefree m | n of mu(m) times the number of
     primes with full m-torsion (full l-torsion for every prime l | m).
-    Both counts come from one pass of exact group structures, so equality
-    is a genuine consistency check of the classification code.
+    Both counts come from the census's classification of each chunk of
+    primes, so equality is a genuine consistency check of that code.
     """
     if n < 1:
         raise ValueError("modulus must be at least 1")
@@ -401,10 +422,12 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     for q in ell:
         sq_divs.extend(m * q for m in list(sq_divs))
     full_counts = {m: 0 for m in sq_divs}
-    for _, d in _first_invariants(curve, sieve_primes(x)):
-        if d == 0:
+    primes = sieve_primes(x)
+    for obst in (o for k in range(0, len(primes), CHUNK_SIZE)
+                 for o in _obstructions(curve, primes[k : k + CHUNK_SIZE])):
+        if obst is None:
             continue
-        torsion = {q for q in ell if d % q == 0}
+        torsion = {q for q in ell if q in obst}
         if not torsion:
             direct += 1
         for m in sq_divs:

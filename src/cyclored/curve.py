@@ -20,18 +20,19 @@ y^2 = x^3 + a c^2 x + b c^3, which is the curve or its quadratic twist
 as c is a square or not, and maps a twist's order n back to 2p + 2 - n.
 `group_order` is the same on one prime.
 
-Structure determination never touches pairings.  For l = 2 the
-discriminant of the cubic decides first where it can.  The census then
-asks `full_torsion_lanes`, a chunk of primes at once, whether E[m] lies
-in E(F_p) for m = 3, 4 and 5 wherever that is open, by Schoof's test
-x^p == x modulo the division polynomial psi_3, psi_4/4y or psi_5 in
-uint64 lanes; that answer settles the exponent of l in d unless a
-deeper level is possible.  What is left, l >= 7 among it, is certified
-by sampling: a point whose l-part has full length (cyclic Sylow), or
-two independent points of order l, independence decided by enumerating
-the <= l multiples of one of them.  `full_ell_torsion` asks, a list of
-primes at once, whether E[l] lies in E(F_p): for l = 2 by the same lane
-test on the cubic, for odd l by the Sylow sampler on group_orders' n.
+Structure determination never touches pairings.  `full_torsion_lanes`
+asks, a chunk of primes at once in uint64 lanes, whether E[l] lies in
+E(F_p), that is l | d: for l = 2 by a Legendre symbol of the cubic's
+discriminant where 4 | n, for l = 3 and 5 by Schoof's test x^p == x
+modulo the division polynomial psi_3 or psi_5.  `group_structure` gives
+the exact d: the discriminant or a lane answer settles the exponent of
+l in d unless a deeper level is possible, and the rest is certified by
+sampling: a point whose l-part has full length (cyclic Sylow), or two
+independent points of order l, independence decided by enumerating the
+<= l multiples of one of them.  `full_ell_torsion` asks, a list of
+primes at once, whether E[l] lies in E(F_p): for l = 2 by x^p == x
+modulo the cubic on the same lane kernel, for odd l by the Sylow sampler
+on group_orders' n.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
 mix of (p, a, b) and a tag drives the x-candidates and the y-sign choice
@@ -571,7 +572,8 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# full m-torsion from Frobenius on division polynomials, in numpy lanes
+# full l-torsion for l = 2, 3, 5 in numpy lanes: the discriminant, and Frobenius
+# on division polynomials
 
 
 def _poly_mul(u, v):
@@ -630,56 +632,50 @@ def _lane_x_power_is_x(low, p):
     return (r[1] == 1) & ~r[0].astype(bool) & ~r[2:].any(axis=0)
 
 
-def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> list[dict[int, bool]]:
-    """Per prime, {m: whether E[m] lies in E(F_p)} for the m in (3, 4, 5)
-    that it is a candidate for, decided by x^p == x modulo a division
-    polynomial in numpy lanes.  primes are of good reduction, orders
-    their group orders; primes from 2**32 on get no answers.
+def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> dict[int, np.ndarray]:
+    """Per l in (2, 3, 5), a bool array over the primes: whether E[l] lies
+    in E(F_p), that is l | d, decided in numpy lanes.  primes are of good
+    reduction and below 2**32, orders their group orders.  E[l] in E(F_p)
+    forces p = 1 mod l and l^2 | n, so only those primes are tested.
 
-    m = l in (3, 5) is a candidate when p = 1 mod l and l^2 | n.  The
-    test says every root of psi_l is in F_p, so Frobenius sends each
-    point of E[l] to itself or its negative and acts on E[l] as I or -I
-    (a map with P -> P and Q -> -Q would send P + Q to P - Q).  -I would
-    make n = det(1 - Frobenius) = det(2I) = 4 mod l, which l | n rules
-    out, so the test is true exactly when E[l] is rational.
+    l = 2: with 4 | n the cubic x^3 + Ax + B has a root mod p, and by
+    Stickelberger three exactly when its discriminant -(4A^3 + 27B^2),
+    delta_E / 16, is a square; one Legendre symbol per lane decides.
 
-    m = 4 is a candidate when p = 1 mod 4, 16 | n and the discriminant
-    of the cubic is a square mod p; group_structure settles l = 2 from
-    the discriminant otherwise.  The test says Frobenius sends each point
-    of exact order 4 to itself or its negative, hence fixes E[2], and
-    acts on E[4] as I or -I mod 4.  With Frobenius = -I + 4N,
-    n = det(2I - 4N) = 4 det(I - 2N), whose second factor is odd, so
-    v_2(n) = 2, which 16 | n rules out: the test is true exactly when
-    E[4] is rational.
+    l = 3, 5: x^p == x modulo the division polynomial psi_l says every
+    root of psi_l is in F_p, so Frobenius sends each point of E[l] to
+    itself or its negative and acts on E[l] as I or -I (a map with P -> P
+    and Q -> -Q would send P + Q to P - Q).  -I would make
+    n = det(1 - Frobenius) = det(2I) = 4 mod l, which l | n rules out, so
+    the test is true exactly when E[l] is rational.  psi_3 and psi_5 have
+    leading coefficient 3 and 5; a lane makes them monic by
+    l^-1 = p - (p - 1)/l, as l | p - 1.
 
-    psi_3 and psi_5 have leading coefficient 3 and 5; a lane makes them
-    monic by l^-1 = p - (p - 1)/l, as l | p - 1.  stats, a Counter when
-    given, receives the number of lane tests (frobenius_lanes).
+    stats, a Counter when given, receives the number of Legendre lanes
+    (two_by_discriminant) and of Frobenius lanes (frobenius_lanes).
     """
-    out = [{} for _ in primes]
-    p = np.array(primes, dtype=np.int64)
+    p = np.array(primes, dtype=np.uint64)
     n = np.array(orders, dtype=np.int64)
+    if len(p) and int(p.max()) >= _LANE_LIMIT:
+        raise ValueError("full torsion lanes need primes below 2**32")
     polys = _division_polynomials(A, B)
-    for m, square in ((3, 9), (4, 16), (5, 25)):
-        lanes = np.flatnonzero((p % m == 1) & (n % square == 0) & (p < _LANE_LIMIT))
-        if m == 4 and len(lanes):
-            # -(4A^3 + 27B^2) is a square with 4A^3 + 27B^2, as p = 1 mod 4
-            q = p[lanes].astype(np.uint64)
-            disc = _lane_residues(4 * A**3 + 27 * B * B, q)
-            lanes = lanes[_lane_pow(disc, (q - 1) >> 1, q) == 1]
+    full = {}
+    for l in (2, 3, 5):
+        full[l] = np.zeros(len(p), dtype=bool)
+        lanes = np.flatnonzero((p % l == 1) & (n % (l * l) == 0))
         if not len(lanes):
             continue
-        q = p[lanes].astype(np.uint64)
-        *low, _ = (_lane_residues(c, q) for c in polys[m])
-        if m != 4:
-            inv = q - (q - 1) // np.uint64(m)
-            low = [c * inv % q for c in low]
-        fixed = _lane_x_power_is_x(np.stack(low), q)
-        for i, ok in zip(lanes.tolist(), fixed.tolist()):
-            out[i][m] = ok
+        q = p[lanes]
+        if l == 2:
+            disc = _lane_residues(-4 * A**3 - 27 * B * B, q)
+            full[l][lanes] = _lane_pow(disc, (q - 1) >> 1, q) == 1
+        else:
+            *low, _ = (_lane_residues(c, q) for c in polys[l])
+            inv = q - (q - 1) // np.uint64(l)
+            full[l][lanes] = _lane_x_power_is_x(np.stack([c * inv % q for c in low]), q)
         if stats is not None:
-            stats["frobenius_lanes"] += len(lanes)
-    return out
+            stats["two_by_discriminant" if l == 2 else "frobenius_lanes"] += len(lanes)
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -774,21 +770,16 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None,
     n, when given, is the group order computed elsewhere (the census takes
     it from group_orders); otherwise group_order computes it.  Only primes
     l with l^2 | n and l | p-1 can divide d, so only gcd(n, p - 1) is
-    factored; each such l contributes its certified Sylow first invariant.
-    For l = 2 the discriminant of the cubic decides without sampling when
-    it can.  By Stickelberger a non-square discriminant means exactly one
-    root, so E(F_p)[2] = Z/2 and the 2-Sylow subgroup is cyclic.  A square
-    one with 4 | n means three roots, so 2 | d, and the exponent is 1 when
-    min(v // 2, v_2(p - 1)) = 1.
+    factored.  For such an l, whether E[l] lies in E(F_p), that is l | d,
+    settles the exponent of l in d when it is false (0) or when
+    min(v // 2, v_l(p - 1)) = 1 (1); every other exponent is certified by
+    sampling the l-Sylow subgroup.  For l = 2 the discriminant of the
+    cubic answers: with 4 | n the cubic has a root, and by Stickelberger
+    three exactly when the discriminant is a square.
 
-    full_torsion, when given, holds for some m in (3, 4, 5) whether E[m]
-    lies in E(F_p), as full_torsion_lanes decides it.  With m = l^j, j = 1
-    for l = 3, 5 and j = 2 for l = 2 (after the discriminant showed 2 | d),
-    a false answer pins the exponent of l in d to j - 1, and a true one to
-    j when min(v // 2, v_l(p - 1)) = j.  Every other exponent is sampled.
-    stats, a Counter when given, receives the number of primes whose 2-part
-    the discriminant settled (two_by_discriminant) and of Sylow samplings
-    (sylow_sampled).
+    full_torsion, when given, holds for some l in (3, 5) whether E[l]
+    lies in E(F_p), as full_torsion_lanes decides it.  stats, a Counter
+    when given, receives the number of Sylow samplings (sylow_sampled).
     """
     p, a, b = C.p, C.a, C.b
     if n is None:
@@ -798,18 +789,12 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None,
         v = _valuation(n, l)
         if v < 2:
             continue
-        j = 1
         if l == 2:
-            square = legendre(-(4 * a**3 + 27 * b * b), p) == 1
-            if not square or v < 4 or p & 3 == 3:
-                if stats is not None:
-                    stats["two_by_discriminant"] += 1
-                d *= 2 if square else 1
-                continue
-            j = 2
-        full = full_torsion.get(l**j) if full_torsion else None
-        if full is False or (full and min(v // 2, _valuation(p - 1, l)) == j):
-            d *= l ** (j if full else j - 1)
+            full = legendre(-(4 * a**3 + 27 * b * b), p) == 1
+        else:
+            full = full_torsion.get(l) if full_torsion else None
+        if full is False or (full and min(v // 2, _valuation(p - 1, l)) == 1):
+            d *= l if full else 1
             continue
         if stats is not None:
             stats["sylow_sampled"] += 1

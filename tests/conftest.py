@@ -16,7 +16,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from cyclored.modmath import sieve_primes
+from cyclored.modmath import is_prime, sieve_primes
 
 FIVE_CURVES = [
     (-3, 1),
@@ -25,6 +25,32 @@ FIVE_CURVES = [
     (1, 3),
     (-13392, -1080432),
 ]
+
+
+def primes_below(top: int, count: int) -> list[int]:
+    """The count largest primes below top, ascending."""
+    out = []
+    q = top - 1
+    while len(out) < count:
+        if is_prime(q):
+            out.append(q)
+        q -= 2
+    return out[::-1]
+
+
+def torsion_bands() -> list[tuple[int, int, list[int]]]:
+    """(A, B, primes) for the full-torsion tests: every prime below 2*10^4
+    on the five curves and four seeded random ones, and the 150 primes
+    below 2^29 (the Frobenius lanes' lazy sums), just above it and below
+    2^32 (a reduction per product) on serre-ex3 and serre-ex5, rich in 3-
+    and 5-torsion."""
+    rng = random.Random(13)
+    curves = FIVE_CURVES + [(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+                            for _ in range(4)]
+    bands = [(A, B, sieve_primes(20_000)) for A, B in curves]
+    bands += [(*curves[k], primes_below(top, 150)) for k in (2, 4)
+              for top in (1 << 29, (1 << 29) + 5000, 1 << 32)]
+    return bands
 
 
 def brute_points(p: int, a: int, b: int) -> list:

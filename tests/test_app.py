@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import cyclored.census as census
 import cyclored.cli as cli
 import cyclored.curve as curve
 from cyclored.density import DegreeProfile, build_density_report
+from cyclored.modmath import factorize, sieve_primes
 from cyclored.registry import REGISTRY, CurveSpec, get_curve
 from cyclored.utils import truncate_decimal, write_json_atomic, write_text_atomic
 
@@ -122,7 +124,7 @@ def test_cli_census_stats_leave_the_checkpoint_alone(capsys, tmp_path):
     code, out_stats, err = run_cli(capsys, *argv, str(counted), "--stats")
     assert code == 0 and out_stats.rsplit(",", 1)[0] == out.rsplit(",", 1)[0]
     extra = json.loads(err)
-    assert extra["frobenius_lanes"] > 0 and extra["sylow_sampled"] >= 0
+    assert extra["frobenius_lanes"] > 0 and extra["structure_exact"] > 0
     assert extra["chunks_computed"] == 1 and extra["chunks_reused"] == 0
     assert counted.read_bytes() == plain.read_bytes()
 
@@ -581,6 +583,13 @@ def test_cli_census_structure_errors_exit_2(capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc("forced")
 
+    # The census sends group_structure the good primes whose gcd(n, p - 1)
+    # has a prime factor of 7 or more: 16 of them on this curve below 3000.
+    E = curve.CurveOverQ(-3, 1)
+    good = [p for p in sieve_primes(3000) if E.delta_E % p]
+    orders = curve.group_orders(E.A, E.B, good)
+    assert sum(any(q >= 7 for q, _ in factorize(gcd(n, p - 1)))
+               for p, n in zip(good, orders)) == 16
     monkeypatch.setattr(census, "group_structure", fail)
     code, out, err = run_cli(capsys, "census", "--a", "-3", "--b", "1", "--limit", "3000")
     assert code == 2 and out == ""

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
+from math import gcd
 
 import pytest
 
-from conftest import brute_structure
+from conftest import brute_structure, torsion_bands
 from cyclored import census
 from cyclored.census import (
     CensusReport,
@@ -16,7 +18,7 @@ from cyclored.census import (
     split_count,
 )
 from cyclored.curve import CurveOverQ, group_orders, group_structure, reduce
-from cyclored.modmath import is_prime, sieve_primes
+from cyclored.modmath import factorize, is_prime, sieve_primes
 
 E1 = CurveOverQ(-3, 1)
 E2 = CurveOverQ(2, 3)
@@ -64,8 +66,9 @@ def test_classify_prime_against_brute_force():
 
 def test_classify_prime_matches_group_structure():
     # classify_prime takes the census path on its one prime: the lanes from
-    # 2^10 on, the Frobenius lanes and the structure that takes their
-    # answers.  It must agree with the sampled group_structure everywhere.
+    # 2^10 on, the discriminant and Frobenius lanes, and group_structure
+    # where gcd(n, p - 1) has a factor of 7 or more.  It must agree with
+    # the sampled group_structure everywhere.
     for E in (E1, E2):
         primes = sieve_primes(3000)
         orders = iter(group_orders(E.A, E.B, [p for p in primes if E.delta_E % p]))
@@ -78,6 +81,36 @@ def test_classify_prime_matches_group_structure():
             assert cls.status == ("cyclic" if d == 1 else "non_cyclic"), (E, p)
             assert cls.obstruction_primes == tuple(q for q in range(2, d + 1)
                                                    if d % q == 0 and is_prime(q)), (E, p)
+
+
+def test_chunk_classifier_matches_group_structure():
+    # On torsion_bands, the census's obstruction primes for a chunk are the
+    # prime support of the sampled group_structure(C, n).d.  Every branch
+    # is taken both ways: 2 | d by the discriminant, at p = 3 mod 4 too,
+    # where its sign matters; 3 | d and 5 | d by the Frobenius lanes; and
+    # a prime whose gcd(n, p - 1) keeps a factor l >= 7, routed to
+    # group_structure, with l | d.
+    seen = Counter()
+    for A, B, primes in torsion_bands():
+        E = CurveOverQ(A, B)
+        good = [p for p in primes if E.delta_E % p]
+        obst = [o for o in census._obstructions(E, primes) if o is not None]
+        assert len(obst) == len(good)
+        for p, n, o in zip(good, group_orders(A, B, good), obst):
+            d = group_structure(reduce(E, p), n).d
+            assert o == tuple(q for q, _ in factorize(d)), (E, p)
+            if n % 4 == 0:
+                seen[2, 2 in o, p % 4] += 1
+            rough = [q for q, _ in factorize(gcd(n, p - 1)) if q >= 7]
+            if rough:
+                seen[7, any(d % q == 0 for q in rough)] += 1
+                continue
+            for l in (3, 5):
+                if p % l == 1 and n % (l * l) == 0:
+                    seen[l, l in o] += 1
+    want = [(2, split, r) for split in (True, False) for r in (1, 3)]
+    want += [(l, split) for l in (3, 5, 7) for split in (True, False)]
+    assert all(seen[k] for k in want), seen
 
 
 def test_run_census_frozen_counts():
@@ -349,9 +382,18 @@ def test_workers_agree(tmp_path, monkeypatch):
     assert 0 < solo.extra["lanes_twisted"] < solo.extra["lane_points"]
     lane_chunks = sum(1 for k in range(0, len(primes), 64) if primes[k : k + 64][-1] > 1 << 10)
     assert solo.extra["lane_passes"] > lane_chunks
-    assert solo.extra["two_by_discriminant"] > 0
-    # the lanes decide full 3-, 4- and 5-torsion, the sampler what they leave
-    assert solo.extra["frobenius_lanes"] > solo.extra["sylow_sampled"] > 0
+    # The discriminant lanes run where 4 | n, the Frobenius lanes where
+    # p = 1 mod l and l^2 | n for l = 3, 5, and group_structure where
+    # gcd(n, p - 1) has a prime factor of 7 or more; it samples no more
+    # Sylow subgroups than that gcd has prime factors.
+    orders = group_orders(E2.A, E2.B, good)
+    assert solo.extra["two_by_discriminant"] == sum(n % 4 == 0 for n in orders)
+    assert solo.extra["frobenius_lanes"] == sum(p % l == 1 and n % (l * l) == 0
+                                                for p, n in zip(good, orders) for l in (3, 5))
+    routed = [factorize(gcd(n, p - 1)) for p, n in zip(good, orders)]
+    routed = [f for f in routed if any(q >= 7 for q, _ in f)]
+    assert solo.extra["structure_exact"] == len(routed) > 0
+    assert solo.extra["sylow_sampled"] <= sum(map(len, routed))
 
 
 def test_split_count():

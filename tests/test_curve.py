@@ -16,7 +16,9 @@ from conftest import (
     brute_point_order,
     brute_points,
     brute_structure,
+    primes_below,
     scalar_group_order,
+    torsion_bands,
 )
 from cyclored import curve
 from cyclored.curve import (
@@ -222,17 +224,6 @@ def test_sylow_certifier_matches_torsion_counts():
     assert deep == {4: 30, 9: 5}
 
 
-def _primes_below(top, count):
-    """The count largest primes below top, ascending."""
-    out = []
-    q = top - 1
-    while len(out) < count:
-        if is_prime(q):
-            out.append(q)
-        q -= 2
-    return out[::-1]
-
-
 def test_lane_orders_match_group_order():
     # Every good prime below 10^4 of the registry curves and of seeded
     # random curves, two of them with coefficients above 10^12, against a
@@ -248,7 +239,7 @@ def test_lane_orders_match_group_order():
                for _ in range(2)]
     low = sieve_primes(10_000)
     bands = [(E, low, brute_count) for E in curves]
-    bands += [(E, _primes_below(top, 100), scalar_group_order) for E in (curves[0], curves[-1])
+    bands += [(E, primes_below(top, 100), scalar_group_order) for E in (curves[0], curves[-1])
               for top in (1 << 21, (1 << 21) + 3000, 1 << 31, 1 << 32)]
     assert bands[-3][1][0] > 1 << 21 > bands[-4][1][-1]
     bands.append((curves[1], [p for p in low if p > 5000][:5], brute_count))  # five lanes
@@ -491,33 +482,26 @@ def test_two_torsion_by_discriminant_matches_sylow():
 
 
 def test_full_torsion_lanes_match_sylow():
-    # Every good prime up to 2*10^4 of the registry curves and of seeded
-    # random curves, and bands of primes just below 2^29 (the lanes' lazy
-    # sums), just above it and below 2^32 (a reduction per product) on
-    # serre-ex3 and serre-ex5, rich in 3- and 5-torsion.  Each lane answer is l | d, or
-    # 4 | d, of the sampled structure, and the structure that takes the
+    # On torsion_bands, each answer of the l = 3 and l = 5 Frobenius lanes
+    # is l | d of the sampled structure, and the structure that takes the
     # answers is the sampled one.
-    rng = random.Random(13)
-    curves = [CurveOverQ(A, B) for A, B in FIVE_CURVES]
-    curves += [CurveOverQ(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
-               for _ in range(4)]
-    bands = [(E, sieve_primes(20_000)) for E in curves]
-    bands += [(curves[k], _primes_below(top, 150)) for k in (2, 4)
-              for top in (1 << 29, (1 << 29) + 5000, 1 << 32)]
     seen = Counter()
-    for E, primes in bands:
+    for A, B, primes in torsion_bands():
+        E = CurveOverQ(A, B)
         good = [p for p in primes if E.delta_E % p]
-        orders = group_orders(E.A, E.B, good)
-        for p, n, full in zip(good, orders, full_torsion_lanes(E.A, E.B, good, orders)):
-            if not full:
+        orders = group_orders(A, B, good)
+        full = full_torsion_lanes(A, B, good, orders)
+        for i, (p, n) in enumerate(zip(good, orders)):
+            tested = {l: bool(full[l][i]) for l in (3, 5) if p % l == 1 and n % (l * l) == 0}
+            if not tested:
                 continue
             C = reduce(E, p)
             st = group_structure(C, n)
-            for m, fixed in full.items():
-                assert fixed == (st.d % m == 0), (E, p, m)
-                seen[m, fixed] += 1
-            assert group_structure(C, n, full_torsion=full) == st, (E, p)
-    assert all(seen[m, fixed] > 0 for m in (3, 4, 5) for fixed in (True, False)), seen
+            for l, fixed in tested.items():
+                assert fixed == (st.d % l == 0), (E, p, l)
+                seen[l, fixed] += 1
+            assert group_structure(C, n, full_torsion=tested) == st, (E, p)
+    assert all(seen[l, fixed] > 0 for l in (3, 5) for fixed in (True, False)), seen
 
 
 def _roots(coeffs, p):
@@ -610,6 +594,8 @@ def test_group_order_refuses_primes_from_2_32():
         group_order(ReducedCurve(q, 1, 1))
     with pytest.raises(ValueError):
         group_orders(1, 1, [1031, q])
+    with pytest.raises(ValueError):
+        full_torsion_lanes(1, 1, [1031, q], [1032, q + 1])
 
 
 def test_point_order():

@@ -13,9 +13,10 @@ import csv
 import json
 import multiprocessing
 import os
+import queue
 import signal
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,6 +255,57 @@ def _ignore_sigint():
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _chunks(stream):
+    """The primes of a sieve_primes stream regrouped into lists of
+    CHUNK_SIZE Python ints, the last possibly shorter."""
+    rest = np.empty(0, dtype=np.int64)
+    for block in stream:
+        block = np.concatenate((rest, block))
+        cut = len(block) - len(block) % CHUNK_SIZE
+        for k in range(0, cut, CHUNK_SIZE):
+            yield block[k : k + CHUNK_SIZE].tolist()
+        rest = block[cut:]
+    if len(rest):
+        yield rest.tolist()
+
+
+def _chunk_results(curve, chunks, saved, want_rows, workers, stack):
+    """Per chunk, in order: (its key, its saved record or None, its
+    _classify_chunk result or None).
+
+    The chunks are walked once.  Those with rows wanted or no saved
+    record go lazily to _classify_chunk: in this process, or, once a
+    second one turns up and workers > 1, on a pool of `workers` entered
+    on `stack`, with up to 2 * workers of them in flight ahead of the
+    chunk yielded."""
+    feed = queue.SimpleQueue()  # chunks to compute, in order; None ends it
+    results = map(_classify_chunk, iter(feed.get, None))
+    window = 0 if workers == 1 else 2 * workers
+    pending = deque()
+    queued = in_flight = 0
+    for chunk in chunks:
+        key = (chunk[0], chunk[-1], len(chunk))
+        rec = saved.get(key)
+        work = want_rows or rec is None
+        if work:
+            feed.put((curve, chunk, want_rows))
+            queued += 1
+            if queued == 2 and workers > 1:
+                pool = stack.enter_context(
+                    multiprocessing.Pool(workers, initializer=_ignore_sigint))
+                # ends the pool's reader of the feed, which the pool's exit joins
+                stack.callback(feed.put, None)
+                results = pool.imap(_classify_chunk, iter(feed.get, None))
+        pending.append((key, rec, work))
+        in_flight += work
+        while pending and (not pending[0][2] or in_flight > window):
+            key, rec, work = pending.popleft()
+            in_flight -= work
+            yield key, rec, next(results) if work else None
+    for key, rec, work in pending:
+        yield key, rec, next(results) if work else None
+
+
 def run_census(
     curve: CurveOverQ,
     x: int,
@@ -266,9 +318,12 @@ def run_census(
 ) -> CensusReport:
     """Classify every prime p <= x and aggregate the counts.
 
-    One pass walks the chunks in order.  Each takes its saved record or
-    its computed one (from a worker pool when workers > 1), then appends
-    and flushes the record, writes its CSV rows and adds its totals.
+    One pass walks the sieve_primes stream in chunks of CHUNK_SIZE
+    primes, in order.  Each chunk takes its saved record or its computed
+    one (from a worker pool when workers > 1 and more than one chunk is
+    computed), then appends and flushes the record, writes its CSV rows
+    and adds its totals.  Memory does not grow with x beyond the bad
+    primes and the checkpoint's records.
 
     Checkpointing: with `checkpoint` set, records are appended as each
     chunk finishes, in chunk order, so an interrupted run keeps them, and
@@ -287,22 +342,17 @@ def run_census(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     start = time.monotonic()
-    primes = sieve_primes(x)
-    chunks = [primes[i : i + CHUNK_SIZE] for i in range(0, len(primes), CHUNK_SIZE)]
+    stream = sieve_primes(x)
 
     want_rows = per_prime_csv is not None or fraction_csv is not None
     fresh = checkpoint is not None and not os.path.exists(checkpoint)
     saved: dict[tuple[int, int, int], dict] = {}
     if checkpoint is not None and not fresh:
         saved = _load_checkpoint(checkpoint, curve.A, curve.B)
-    keys = [(chunk[0], chunk[-1], len(chunk)) for chunk in chunks]
-    todo = [(curve, chunk, want_rows)
-            for chunk, key in zip(chunks, keys) if want_rows or key not in saved]
 
     bad_all: list[int] = []
     counts = Counter()
-    cyclic = 0
-    seen = 0
+    cyclic = seen = chunks = computed = 0
     split_totals = {l: 0 for l in SPLIT_PRIMES}
     with contextlib.ExitStack() as stack:
         ck_fh = pp_writer = fr_writer = None
@@ -319,22 +369,20 @@ def run_census(
         if fraction_csv is not None:
             fr_writer = csv.writer(stack.enter_context(open(fraction_csv, "w", newline="")))
             fr_writer.writerow(["p", "primes_seen", "cyclic_seen", "running_fraction"])
-        if workers > 1 and len(todo) > 1:
-            pool = stack.enter_context(multiprocessing.Pool(workers, initializer=_ignore_sigint))
-            results = pool.imap(_classify_chunk, todo)
-        else:
-            results = map(_classify_chunk, todo)
 
-        for key in keys:
-            rec, rows = saved.get(key), None
-            if want_rows or rec is None:
-                new, rows, chunk_counts = next(results)
+        for key, rec, result in _chunk_results(curve, _chunks(stream), saved, want_rows,
+                                               workers, stack):
+            chunks += 1
+            rows = None
+            if result is not None:
+                new, rows, chunk_counts = result
                 if rec is not None and rec != new:
                     raise CheckpointCorrupt(f"recomputed chunk {key} disagrees with checkpoint")
                 if rec is None and ck_fh is not None:
                     ck_fh.write(json.dumps(new, sort_keys=True) + "\n")
                     ck_fh.flush()
                 rec = new
+                computed += 1
                 counts.update(chunk_counts)
             bad_all.extend(rec["bad"])
             for l in SPLIT_PRIMES:
@@ -356,15 +404,15 @@ def run_census(
         a=curve.A,
         b=curve.B,
         limit=x,
-        total_primes=len(primes),
+        total_primes=seen,
         bad_primes=sorted(bad_all),
         cyclic_count=cyclic,
         split_counts=split_totals,
         elapsed_seconds=elapsed,
         label=label,
         extra={
-            "chunks_computed": len(todo),
-            "chunks_reused": len(chunks) - len(todo),
+            "chunks_computed": computed,
+            "chunks_reused": chunks - computed,
             **{k: counts[k] for k in _RUN_COUNTS},
         },
     )
@@ -374,7 +422,8 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     """Count good primes p <= x whose reduction has full l-torsion.
 
     Full l-torsion forces l | p - 1, so only the good primes in that
-    progression go to one curve.full_ell_torsion call; p = l never does.
+    progression go to curve.full_ell_torsion, one call per array of the
+    sieve_primes stream; p = l never does.
 
     For l = 2 that call asks whether the cubic x^3 + ax + b splits over
     F_p, by x^p == x modulo the cubic; for odd l it samples the l-Sylow
@@ -387,8 +436,9 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     if not is_prime(l):
         raise ValueError(f"torsion prime must be a prime: {l}")
     delta = curve.delta_E
-    primes = [p for p in sieve_primes(x) if p % l == 1 and delta % p]
-    return sum(full_ell_torsion(curve.A, curve.B, l, primes))
+    return sum(sum(full_ell_torsion(curve.A, curve.B, l,
+                                    [p for p in block.tolist() if p % l == 1 and delta % p]))
+               for block in sieve_primes(x))
 
 
 @dataclass(frozen=True)
@@ -422,9 +472,7 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     for q in ell:
         sq_divs.extend(m * q for m in list(sq_divs))
     full_counts = {m: 0 for m in sq_divs}
-    primes = sieve_primes(x)
-    for obst in (o for k in range(0, len(primes), CHUNK_SIZE)
-                 for o in _obstructions(curve, primes[k : k + CHUNK_SIZE])):
+    for obst in (o for chunk in _chunks(sieve_primes(x)) for o in _obstructions(curve, chunk)):
         if obst is None:
             continue
         torsion = {q for q in ell if q in obst}

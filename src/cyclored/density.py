@@ -224,12 +224,13 @@ def artin_constant(L: int) -> Interval:
     if L < 2:
         raise ValueError("truncation bound must be at least 2")
     lo = hi = _ONE
-    for l in sieve_primes(L):
-        ll = l * l
-        d = (ll - 1) * (ll - l)
-        # x (d - 1) / d = x - x / d: floor for lo, ceiling for hi
-        lo -= -(-lo // d)
-        hi -= hi // d
+    for block in sieve_primes(L):
+        for l in block.tolist():
+            ll = l * l
+            d = (ll - 1) * (ll - l)
+            # x (d - 1) / d = x - x / d: floor for lo, ceiling for hi
+            lo -= -(-lo // d)
+            hi -= hi // d
     lo -= -(-lo // L**3)
     return Interval(Fraction(lo, _ONE), Fraction(hi, _ONE))
 

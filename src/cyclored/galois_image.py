@@ -9,6 +9,7 @@ and flagged heuristic, non-certification is never a claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 
 from .curve import CurveOverQ, group_order, group_orders, reduce
@@ -119,12 +120,11 @@ def frobenius_trace(curve: CurveOverQ, p: int) -> int:
 
 def _group_orders_in_batches(curve: CurveOverQ, bound: int, l: int):
     """(p, #E(F_p)) for the good primes p <= bound other than l, in order."""
-    primes = [p for p in sieve_primes(bound) if p != l and curve.delta_E % p]
-    start, size = 0, 64
-    while start < len(primes):
-        batch = primes[start : start + size]
+    good = (p for block in sieve_primes(bound) for p in block.tolist()
+            if p != l and curve.delta_E % p)
+    size = 64
+    while batch := list(islice(good, size)):
         yield from zip(batch, group_orders(curve.A, curve.B, batch))
-        start += size
         size *= 2
 
 

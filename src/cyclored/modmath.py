@@ -8,8 +8,12 @@ parameters, so repeated runs factor the same integer the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd, isqrt
+
+import numpy as np
 
 
 class LimitTooLarge(Exception):
@@ -21,6 +25,7 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_BOUND = 100_000
 SIEVE_LIMIT = 1 << 32
+_SEGMENT = 1 << 18  # odd numbers per sieve segment: 256 KiB of marks
 _small_primes_cache: list[int] | None = None
 
 
@@ -104,37 +109,58 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sieve_primes(x: int) -> list[int]:
-    """Ordered list of all primes <= x (x >= 2).
+def sieve_primes(x: int) -> Iterator[np.ndarray]:
+    """The primes <= x (2 <= x <= 2**32) as a stream of ascending int64
+    arrays, whose concatenation is every prime in order.
 
-    Plain odd-only Eratosthenes over a bytearray.  Bounds above 2**32
-    raise LimitTooLarge rather than attempting a multi-gigabyte sieve.
+    Odd-only segmented Eratosthenes, after Bays and Hudson: the odd primes
+    up to isqrt(x) come from the same stream, one level down, and mark
+    each segment of _SEGMENT odd numbers in turn, so memory is
+    O(sqrt(x) + _SEGMENT) whatever x.  The bound is checked here, so
+    ValueError and LimitTooLarge (above 2**32) raise before anything is
+    allocated; the returned iterator does the sieving.
     """
     if x < 2:
         raise ValueError("sieve bound must be at least 2")
     if x > SIEVE_LIMIT:
         raise LimitTooLarge(f"sieve bound {x} exceeds 2**32")
-    # index i represents the odd number 2*i + 1, marked when composite.
-    # Marks start as zeros because a failed bytearray(half) raises a plain
-    # MemoryError, where a failed bytearray([1]) * half also prints a stray
-    # SystemError on CPython 3.11.
-    half = (x + 1) // 2
-    marks = bytearray(half)
-    marks[0] = 1  # 1 is not prime
-    for i in range(1, min(half, (isqrt(x) + 1) // 2 + 1)):
-        if not marks[i]:
-            step = 2 * i + 1
-            start = (step * step) // 2
-            marks[start::step] = b"\x01" * len(range(start, half, step))
-    out = [2] if x >= 2 else []
-    out.extend(2 * i + 1 for i in range(1, half) if not marks[i])
-    return out
+    return _segments(x)
+
+
+def _segments(x: int) -> Iterator[np.ndarray]:
+    root = isqrt(x)
+    base = [q for block in _segments(root) for q in block.tolist()][1:] if root > 2 else []
+    for lo in range(1, x + 1, 2 * _SEGMENT):
+        primes = _segment(lo, min(_SEGMENT, (x - lo) // 2 + 1), base)
+        if lo == 1:
+            primes = np.concatenate(([2], primes))
+        if len(primes):
+            yield primes
+
+
+def _segment(lo: int, n: int, base: list[int]) -> np.ndarray:
+    """The primes among the n odd numbers lo, lo + 2, ..., lo + 2(n - 1),
+    for odd lo, given base: the odd primes in ascending order up to at
+    least the square root of the last of them."""
+    marks = np.ones(n, dtype=bool)
+    for q in base[: bisect_right(base, isqrt(lo + 2 * (n - 1)))]:
+        # q marks its odd multiples from max(q^2, the first one >= lo)
+        start = max(q * q, -(-lo // q) * q)
+        if start % 2 == 0:
+            start += q
+        marks[(start - lo) // 2 :: q] = False
+    if lo == 1:
+        marks[0] = False  # 1 is not prime
+    primes = np.flatnonzero(marks)
+    primes *= 2  # in place: one array of primes at a time, not three
+    primes += lo
+    return primes
 
 
 def _small_primes() -> list[int]:
     global _small_primes_cache
     if _small_primes_cache is None:
-        _small_primes_cache = sieve_primes(_TRIAL_BOUND)
+        _small_primes_cache = [q for block in sieve_primes(_TRIAL_BOUND) for q in block.tolist()]
     return _small_primes_cache
 
 

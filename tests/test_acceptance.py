@@ -13,7 +13,7 @@ from math import prod
 
 import pytest
 
-from conftest import brute_structure
+from conftest import brute_structure, prime_list
 from cyclored.census import inclusion_exclusion_check, run_census, split_count
 from cyclored.curve import CurveOverQ, group_structure, reduce
 from cyclored.density import (
@@ -33,7 +33,7 @@ from cyclored.entangle import (
     index2_character_subgroup,
     norm_one_construction,
 )
-from cyclored.modmath import divisors, sieve_primes
+from cyclored.modmath import divisors
 from cyclored.registry import REFERENCE_LIMIT, REGISTRY
 
 LABELS = ["serre-ex1", "serre-ex2", "serre-ex3", "serre-ex4", "serre-ex5"]
@@ -125,7 +125,7 @@ def test_criterion_4a_structure_vs_enumeration():
     checked = 0
     for label in LABELS:
         E = REGISTRY[label].curve
-        for p in sieve_primes(199):
+        for p in prime_list(199):
             if E.delta_E % p == 0:
                 continue
             st = group_structure(reduce(E, p))
@@ -139,7 +139,7 @@ def test_criterion_4a_structure_vs_enumeration():
 def test_criterion_4b_full_product_density():
     # every set of distinct primes whose full product group has order <= 1e7
     cap = 10**7
-    base = [l for l in sieve_primes(100) if gl2_order(l) <= cap]
+    base = [l for l in prime_list(100) if gl2_order(l) <= cap]
     sets: list[tuple[int, ...]] = []
 
     def extend(prefix, rest, order):

@@ -16,8 +16,9 @@ import pytest
 import cyclored.census as census
 import cyclored.cli as cli
 import cyclored.curve as curve
+from conftest import prime_list
 from cyclored.density import DegreeProfile, build_density_report
-from cyclored.modmath import factorize, sieve_primes
+from cyclored.modmath import factorize
 from cyclored.registry import REGISTRY, CurveSpec, get_curve
 from cyclored.utils import truncate_decimal, write_json_atomic, write_text_atomic
 
@@ -586,7 +587,7 @@ def test_cli_census_structure_errors_exit_2(capsys, monkeypatch, exc):
     # The census sends group_structure the good primes whose gcd(n, p - 1)
     # has a prime factor of 7 or more: 16 of them on this curve below 3000.
     E = curve.CurveOverQ(-3, 1)
-    good = [p for p in sieve_primes(3000) if E.delta_E % p]
+    good = [p for p in prime_list(3000) if E.delta_E % p]
     orders = curve.group_orders(E.A, E.B, good)
     assert sum(any(q >= 7 for q, _ in factorize(gcd(n, p - 1)))
                for p, n in zip(good, orders)) == 16
@@ -625,14 +626,9 @@ def test_cli_census_interrupt_exits_130(tmp_path):
     assert census._load_checkpoint(str(ck), spec.A, spec.B)
 
 
-@pytest.mark.parametrize("argv", [
-    ("census", "--label", "serre-ex1", "--limit", "4294967296"),
-    ("constants", "--truncation", "4294967296"),
-    ("galois", "--label", "serre-ex1", "--l", "5", "--sample-bound", "4294967296"),
-])
-def test_cli_out_of_memory_exits_2(argv):
-    # A sieve up to 2**32 needs 2 GiB for its marks alone.  The child caps
-    # its own address space at 1.5 GiB after its imports.
+def _capped_cli(*argv: str) -> subprocess.Popen:
+    """cyclored.cli.main(argv) in a child that caps its own address space
+    at 1.5 GiB after its imports."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import resource, sys\n"
             "import cyclored.cli\n"
@@ -641,10 +637,50 @@ def test_cli_out_of_memory_exits_2(argv):
             "sys.exit(cyclored.cli.main(sys.argv[1:]))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr == f"error: {argv[0]}: out of memory\n"
+    return subprocess.Popen([sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def test_cli_out_of_memory_exits_2(tmp_path):
+    # GL2(F2) x GL2(F3) x GL2(F5) x GL2(F7) has 278,691,840 elements: 2.1 GiB
+    # of int64 codes, which a cap of 10**9 elements allows and the
+    # address-space cap does not.
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"construction": "full_product", "moduli": [2, 3, 5, 7],
+                                "cap": 10**9}))
+    proc = _capped_cli("entangle", str(path))
+    try:
+        out, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()  # nothing to do once the child has exited
+        proc.wait()
+    assert proc.returncode == 2, err
+    assert err == "error: entangle: out of memory\n" and out == ""
+
+
+def test_cli_census_to_2_32_checkpoints_then_exits_130(tmp_path):
+    # The sieve streams its primes and the pool's input is lazy, so a census
+    # up to 2**32 runs under the same cap: it writes its first chunks and
+    # stops at Ctrl-C.
+    ck = tmp_path / "ck.jsonl"
+    proc = _capped_cli("census", "--label", "serre-ex1", "--limit", "4294967296",
+                       "--workers", "2", "--checkpoint", str(ck))
+    try:
+        deadline = time.monotonic() + 60
+        while not (ck.exists() and len(ck.read_text().splitlines()) >= 4):  # header, chunks
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130
+    assert err == "error: interrupted\n" and out == ""
+    spec = get_curve("serre-ex1")
+    records = census._load_checkpoint(str(ck), spec.A, spec.B)
+    assert (2, 38873, 4096) in records
 
 
 @pytest.mark.parametrize("argv, option", [

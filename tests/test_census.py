@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from collections import Counter
 from math import gcd
 
 import pytest
 
-from conftest import brute_structure, torsion_bands
+from conftest import brute_structure, prime_list, torsion_bands
 from cyclored import census
 from cyclored.census import (
+    SPLIT_PRIMES,
     CensusReport,
     CheckpointCorrupt,
     classify_prime,
@@ -18,7 +20,7 @@ from cyclored.census import (
     split_count,
 )
 from cyclored.curve import CurveOverQ, group_orders, group_structure, reduce
-from cyclored.modmath import factorize, is_prime, sieve_primes
+from cyclored.modmath import factorize, is_prime
 
 E1 = CurveOverQ(-3, 1)
 E2 = CurveOverQ(2, 3)
@@ -32,7 +34,7 @@ EX2_AT_5000 = dict(total=669, cyclic=336, bad=[2, 5, 11],
 
 
 def test_classify_prime_against_brute_force():
-    for p in sieve_primes(100):
+    for p in prime_list(100):
         cls = classify_prime(E1, p)
         assert cls.p == p
         if p in (2, 3):
@@ -70,7 +72,7 @@ def test_classify_prime_matches_group_structure():
     # where gcd(n, p - 1) has a factor of 7 or more.  It must agree with
     # the sampled group_structure everywhere.
     for E in (E1, E2):
-        primes = sieve_primes(3000)
+        primes = prime_list(3000)
         orders = iter(group_orders(E.A, E.B, [p for p in primes if E.delta_E % p]))
         for p in primes:
             cls = classify_prime(E, p)
@@ -374,7 +376,7 @@ def test_workers_agree(tmp_path, monkeypatch):
     # settled in the lanes above, on one point or more, each on the curve
     # or on its twist, in one lane pass or more per chunk, more in some.
     assert solo.extra == duo.extra
-    primes = sieve_primes(3000)
+    primes = prime_list(3000)
     good = [p for p in primes if E2.delta_E % p]
     assert solo.extra["orders_exhaustive"] == sum(1 for p in good if p < 1 << 10)
     assert solo.extra["orders_batched"] == sum(1 for p in good if p > 1 << 10)
@@ -394,6 +396,48 @@ def test_workers_agree(tmp_path, monkeypatch):
     routed = [f for f in routed if any(q >= 7 for q, _ in f)]
     assert solo.extra["structure_exact"] == len(routed) > 0
     assert solo.extra["sylow_sampled"] <= sum(map(len, routed))
+
+
+# Curves whose discriminants exceed 2**63 in absolute value, so that a
+# prime held as an int64 overflows in delta % p and in B % p.  Their counts
+# at 50,000 and the SHA-256 digests of the files a checkpointed two-worker
+# census writes there, with both CSVs, were recorded from the census's
+# list-of-primes sieve.
+BIG = [
+    (CurveOverQ(10**12 + 11, -(10**13 + 17)),
+     dict(cyclic=4177, bad=[2, 3], split={2: 872, 3: 85, 5: 5, 7: 2},
+          resumed=(5647, 6935, {2: 1168, 3: 121, 5: 15, 7: 2}),
+          terms={1: 5131, 2: 872, 3: 85, 6: 10, 5: 5, 10: 1, 15: 0, 30: 0},
+          sha256=("ea331f4d40e6184380f705e5957eff3236aabf6efaf0c4f30d625352b9d119ed",
+                  "0ff2ecb004d6e03b64c3fc0b3ea25b3c3fff3c60353549f3805ff417586dee61",
+                  "af1aa6af836f65ef721d1a8bdaca8504e11d50ea6b6fddf35d3c8a34f2741095"))),
+    (CurveOverQ(-(3 * 10**12 + 1), 2**64 + 13),
+     dict(cyclic=4110, bad=[2, 11, 13, 31, 457, 1487], split={2: 929, 3: 109, 5: 6, 7: 0},
+          resumed=(5551, 6935, {2: 1262, 3: 141, 5: 8, 7: 1}),
+          terms={1: 5127, 2: 929, 3: 109, 6: 25, 5: 6, 10: 2, 15: 0, 30: 0},
+          sha256=("ae6e679d608a44040951c1582b7d5d6ed018f2dc860de750cee3a08dcdf1c952",
+                  "4138b253fb8a1ba5a6debef8a92c74db75634ee044926f3e9e97346f031f8cdc",
+                  "a290b0250ea47a91a2c7b03a5d4e6394f5fa65a89743818c4af6a8099ed16992"))),
+]
+
+
+@pytest.mark.parametrize("E, want", BIG)
+def test_big_coefficient_curves_on_the_stream(tmp_path, E, want):
+    assert abs(E.delta_E) >= 1 << 63
+    paths = [tmp_path / name for name in ("ck.jsonl", "pp.csv", "fr.csv")]
+    ck, pp, fr = map(str, paths)
+    r = run_census(E, 50_000, checkpoint=ck, workers=2, per_prime_csv=pp, fraction_csv=fr)
+    assert (r.cyclic_count, r.total_primes, r.bad_primes, r.split_counts) == (
+        want["cyclic"], 5133, want["bad"], want["split"])
+    assert r.extra["chunks_computed"] == 2
+    resumed = run_census(E, 70_000, checkpoint=ck, workers=2)
+    assert (resumed.cyclic_count, resumed.total_primes, resumed.split_counts) == want["resumed"]
+    assert (resumed.extra["chunks_reused"], resumed.extra["chunks_computed"]) == (1, 1)
+    run_census(E, 50_000, checkpoint=ck)  # reuses both chunks, writes nothing
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths) == want["sha256"]
+    assert {l: split_count(E, l, 50_000) for l in SPLIT_PRIMES} == want["split"]
+    rep = inclusion_exclusion_check(E, 50_000, 30)
+    assert rep.terms == want["terms"] and rep.consistent
 
 
 def test_split_count():

@@ -16,6 +16,7 @@ from conftest import (
     brute_point_order,
     brute_points,
     brute_structure,
+    prime_list,
     primes_below,
     scalar_group_order,
     torsion_bands,
@@ -35,7 +36,7 @@ from cyclored.curve import (
     reduce,
 )
 from cyclored.curve import _order_exhaustive, full_ell_torsion, full_torsion_lanes
-from cyclored.modmath import factorize, is_prime, legendre, sieve_primes
+from cyclored.modmath import factorize, is_prime, legendre
 
 
 def test_singular_models_rejected():
@@ -121,7 +122,7 @@ def test_group_order_small_matches_enumeration():
     # 10^4, counts the same points.
     cases = [(p, a, b) for p in (5, 7, 11, 13, 17) for a, b in ((1, 1), (2, 3), (0, 1), (4, 4))]
     cases += [(p, A % p, B % p) for A, B in (FIVE_CURVES[0], FIVE_CURVES[2])
-              for p in sieve_primes((1 << 10) - 1) if p >= 5]
+              for p in prime_list((1 << 10) - 1) if p >= 5]
     for p, a, b in cases:
         if (4 * a**3 + 27 * b**2) % p == 0:
             continue
@@ -132,7 +133,7 @@ def test_group_order_small_matches_enumeration():
 def test_group_order_bsgs_matches_exhaustive():
     # above the exhaustive cutoff group_order is the lanes on one prime,
     # and group_orders takes the same primes at once
-    primes = [p for p in sieve_primes(1450) if p > 1024]
+    primes = [p for p in prime_list(1450) if p > 1024]
     for A, B in ((-3, 1), (2, 3)):
         E = CurveOverQ(A, B)
         good = [p for p in primes if E.delta_E % p]
@@ -147,7 +148,7 @@ def _good_reductions_above_exhaustive_cutoff():
     (2^10, 2^12] of the five registry curves."""
     for A, B in FIVE_CURVES:
         E = CurveOverQ(A, B)
-        good = [p for p in sieve_primes(1 << 12) if p > 1 << 10 and E.delta_E % p]
+        good = [p for p in prime_list(1 << 12) if p > 1 << 10 and E.delta_E % p]
         for p, n in zip(good, group_orders(A, B, good)):
             yield (A, B), reduce(E, p), n
 
@@ -189,7 +190,7 @@ def test_group_order_samples_curve_and_twist(monkeypatch):
     both = jointly = 0
     for A, B in FIVE_CURVES:
         E = CurveOverQ(A, B)
-        good = [p for p in sieve_primes(1 << 15) if p > 1 << 10 and E.delta_E % p]
+        good = [p for p in prime_list(1 << 15) if p > 1 << 10 and E.delta_E % p]
         passes.clear()
         n = dict(zip(good, group_orders(A, B, good)))
         sides, gap_sides, last_gap = {}, {}, {}
@@ -237,7 +238,7 @@ def test_lane_orders_match_group_order():
     curves += [CurveOverQ(rng.randrange(-999, 1000), rng.randrange(-999, 1000)) for _ in range(2)]
     curves += [CurveOverQ(rng.randrange(10**12, 10**14), -rng.randrange(10**12, 10**14))
                for _ in range(2)]
-    low = sieve_primes(10_000)
+    low = prime_list(10_000)
     bands = [(E, low, brute_count) for E in curves]
     bands += [(E, primes_below(top, 100), scalar_group_order) for E in (curves[0], curves[-1])
               for top in (1 << 21, (1 << 21) + 3000, 1 << 31, 1 << 32)]
@@ -296,7 +297,7 @@ def test_lane_doubling_case_settles_on_a_later_pass(monkeypatch):
     _no_group_order_from_2_10(monkeypatch)
     for A, B in FIVE_CURVES[:2]:
         E = CurveOverQ(A, B)
-        good = [p for p in sieve_primes(1 << 13) if p > 1 << 10 and E.delta_E % p]
+        good = [p for p in prime_list(1 << 13) if p > 1 << 10 and E.delta_E % p]
         passes.clear()
         n = dict(zip(good, group_orders(A, B, good)))
         primes, settled, gaps, _ = passes[0]
@@ -319,7 +320,7 @@ def test_lanes_settle_points_with_several_multiples(monkeypatch):
     picked, mixed = {}, 0
     for A, B in FIVE_CURVES:
         E = CurveOverQ(A, B)
-        good = [p for p in sieve_primes(20_000) if p > 1 << 10 and E.delta_E % p]
+        good = [p for p in prime_list(20_000) if p > 1 << 10 and E.delta_E % p]
         passes.clear()
         group_orders(A, B, good)
         (p0, _, g0, t0), (p1, _, g1, t1) = passes[:2]
@@ -405,7 +406,7 @@ def test_sample_point_matches_sqrt_mod_path():
                 s, z = curve._next64(s)
                 return ((x, r) if z & 1 == 0 else (x, p - r)), s
 
-    for p in sieve_primes(20_000):
+    for p in prime_list(20_000):
         if p % 4 != 1:
             continue
         y = np.arange(1, (p + 1) // 2, dtype=np.int64)
@@ -470,7 +471,7 @@ def test_two_torsion_by_discriminant_matches_sylow():
     seen = Counter()
     for A, B in FIVE_CURVES:
         E = CurveOverQ(A, B)
-        good = [p for p in sieve_primes(30_000) if E.delta_E % p]
+        good = [p for p in prime_list(30_000) if E.delta_E % p]
         for p, n in zip(good, group_orders(A, B, good)):
             if n % 4:
                 continue
@@ -518,7 +519,7 @@ def test_division_polynomial_roots_are_torsion_x():
     for A, B in (FIVE_CURVES[2], (31, -17)):
         E = CurveOverQ(A, B)
         polys = curve._division_polynomials(A, B)
-        for p in sieve_primes(1000)[::2]:
+        for p in prime_list(1000)[::2]:
             if p < 100 or E.delta_E % p == 0:
                 continue
             c = next(c for c in range(2, p) if legendre(c, p) == -1)
@@ -543,7 +544,7 @@ def test_division_polynomial_roots_are_torsion_x():
 def test_cubic_splitting_matches_root_count():
     # full_ell_torsion(a, b, 2, [p]) against a count of the cubic's roots
     rng = random.Random(29)
-    primes = sieve_primes(5000)[2:]
+    primes = prime_list(5000)[2:]
     for _ in range(300):
         p = rng.choice(primes)
         a, b = rng.randrange(p), rng.randrange(p)
@@ -560,7 +561,7 @@ def test_full_ell_torsion_matches_torsion_count():
     for A, B in (FIVE_CURVES[0], FIVE_CURVES[2]):
         delta = CurveOverQ(A, B).delta_E
         d = {p: brute_first_invariant(p, A % p, B % p)
-             for p in sieve_primes(2000) if delta % p}
+             for p in prime_list(2000) if delta % p}
         for l in (2, 3, 5, 7):
             primes = [p for p in d if p != l]
             for p, full in zip(primes, full_ell_torsion(A, B, l, primes)):
@@ -571,7 +572,7 @@ def test_full_ell_torsion_matches_torsion_count():
 
 def test_group_order_hasse_bound():
     rng = random.Random(5)
-    primes = sieve_primes(30000)
+    primes = prime_list(30000)
     for _ in range(25):
         p = primes[rng.randrange(100, len(primes))]
         C = ReducedCurve(p, rng.randrange(p), rng.randrange(1, p))
@@ -628,7 +629,7 @@ def test_group_structure_matches_brute_force():
     # all good primes below 150 for two registry curves
     for A, B in ((-3, 1), (2, 3)):
         E = CurveOverQ(A, B)
-        for p in sieve_primes(150):
+        for p in prime_list(150):
             if E.delta_E % p == 0:
                 continue
             st = group_structure(reduce(E, p))
@@ -641,7 +642,7 @@ def test_group_structure_matches_brute_force():
 
 def test_structure_invariants_random_curves():
     rng = random.Random(77)
-    primes = [p for p in sieve_primes(4000) if p > 1024]
+    primes = [p for p in prime_list(4000) if p > 1024]
     for _ in range(15):
         p = primes[rng.randrange(len(primes))]
         a, b = rng.randrange(p), rng.randrange(p)
@@ -660,7 +661,7 @@ def test_structure_invariants_random_curves():
 
 def test_full_torsion_and_cyclicity():
     E = CurveOverQ(-3, 1)
-    good = [p for p in sieve_primes(150) if E.delta_E % p]
+    good = [p for p in prime_list(150) if E.delta_E % p]
     structures = {p: group_structure(reduce(E, p)) for p in good}
     for p, st in structures.items():
         assert is_cyclic(reduce(E, p)) == (st.d == 1)

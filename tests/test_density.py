@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import cyclored
-from conftest import exact_euler_interval
+from conftest import exact_euler_interval, prime_list
 from cyclored.curve import CurveOverQ
 from cyclored.density import (
     DegreeOne,
@@ -30,7 +30,7 @@ from cyclored.density import (
     superfluous_correction,
 )
 from cyclored.entangle import index2_character_subgroup
-from cyclored.modmath import factorize, sieve_primes
+from cyclored.modmath import factorize
 from cyclored.registry import REGISTRY
 from cyclored.utils import truncate_decimal
 
@@ -59,7 +59,7 @@ def assert_tight_enclosure(iv, exact, L, scale=1):
     factor the product was rescaled by: one unit per rounded factor and
     one for the tail."""
     lo, hi = exact
-    slack = scale * (len(sieve_primes(L)) + 1) * UNIT
+    slack = scale * (len(prime_list(L)) + 1) * UNIT
     assert iv.lo <= lo and hi <= iv.hi, (iv, exact)
     assert lo - iv.lo <= slack and iv.hi - hi <= slack, (iv, exact)
 

@@ -9,6 +9,7 @@ from math import lcm
 import numpy as np
 import pytest
 
+from conftest import prime_list
 from cyclored.density import charsum_alpha, gl2_order
 from cyclored.entangle import (
     CharacterNotSurjective,
@@ -25,7 +26,7 @@ from cyclored.entangle import (
     norm_one_construction,
     standard_gl2_generators,
 )
-from cyclored.modmath import primitive_root, sieve_primes
+from cyclored.modmath import primitive_root
 
 F = Fraction
 ID = (1, 0, 0, 1)
@@ -147,7 +148,7 @@ def test_full_product_matches_closure():
                 sets.append(prefix + (l,))
                 extend(prefix + (l,), rest[i + 1:], order * gl2_order(l))
 
-    extend((), sieve_primes(100), 1)
+    extend((), prime_list(100), 1)
     assert len(sets) == 16 and (2, 3, 5) in sets and (2, 13) in sets
     for moduli in sets:
         gens = [embed(moduli, i, g) for i, l in enumerate(moduli)
@@ -296,7 +297,7 @@ def test_python_int_fallback_for_wide_moduli():
 def test_wide_index_space():
     # -I over the first 64 odd primes: each projection has two elements,
     # so the product of the projections has 2**64, past 64-bit indices
-    moduli = tuple(l for l in sieve_primes(400) if l > 2)[:64]
+    moduli = tuple(l for l in prime_list(400) if l > 2)[:64]
     gen = MatrixTuple(moduli, tuple(neg_id(l) for l in moduli))
     G = generate_closure(moduli, [gen])
     assert G.order == 2

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import FIVE_CURVES, brute_points
+from conftest import FIVE_CURVES, brute_points, prime_list
 from cyclored.curve import BadReduction, CurveOverQ
 from cyclored.galois_image import (
     InvalidPrime,
@@ -13,7 +13,7 @@ from cyclored.galois_image import (
     frobenius_trace,
     two_division_degree,
 )
-from cyclored.modmath import divisors, sieve_primes
+from cyclored.modmath import divisors
 
 # splitting field degrees of the five registry cubics
 DEGREES = {(-3, 1): 3, (2, 3): 2, (-12096, -544752): 6,
@@ -83,7 +83,7 @@ def test_degree_controls_root_counts_mod_p():
         deg = two_division_degree(E)
         seen = set()
         used = 0
-        for p in sieve_primes(10**4):
+        for p in prime_list(10**4):
             if used >= 100:
                 break
             if E.delta_E % p == 0:
@@ -112,7 +112,7 @@ def test_frobenius_trace_small():
 def test_frobenius_trace_hasse_and_consistency():
     rng = random.Random(3)
     E = CurveOverQ(-3, 1)
-    primes = [p for p in sieve_primes(2000) if p > 3]
+    primes = [p for p in prime_list(2000) if p > 3]
     for _ in range(20):
         p = primes[rng.randrange(len(primes))]
         a = frobenius_trace(E, p)
@@ -168,3 +168,21 @@ def test_small_sample_bound_is_inconclusive_not_wrong():
     res = certify_surjective(CurveOverQ(1, 3), 7, sample_bound=20)
     assert not res.certified
     assert res.fingerprint.samples <= 8
+
+
+@pytest.mark.parametrize("E, want", [
+    (CurveOverQ(10**12 + 11, -(10**13 + 17)),
+     {3: (2260, {(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)}),
+      5: (4, {(0, 3), (1, 2), (2, 2), (4, 1)}), 7: (3, {(2, 5), (2, 6), (6, 4)})}),
+    (CurveOverQ(-(3 * 10**12 + 1), 2**64 + 13),
+     {3: (2255, {(0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2)}),
+      5: (3, {(1, 2), (2, 2), (3, 3)}), 7: (2, {(3, 3), (5, 5)})}),
+])
+def test_certify_surjective_on_big_coefficient_curves(E, want):
+    # |discriminant| >= 2**63: a prime held as an int64 overflows in delta % p;
+    # the samples and pairs are those of the census's list-of-primes sieve
+    assert abs(E.delta_E) >= 1 << 63
+    for l, (samples, pairs) in want.items():
+        res = certify_surjective(E, l, sample_bound=20_000)
+        assert res.certified == (l >= 5)
+        assert (res.fingerprint.samples, res.fingerprint.trace_det_pairs) == (samples, pairs)

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import prime_list, primes_below
+from cyclored import modmath
 from cyclored.modmath import (
     LimitTooLarge,
     divisors,
@@ -25,25 +33,91 @@ MOEBIUS_TABLE = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0, -1, 1, 1, 0,
                  -1, 0, -1, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1]
 
 
+def stream(x):
+    """sieve_primes(x) as one list, checking the arrays on the way."""
+    blocks = list(sieve_primes(x))
+    assert all(b.dtype == np.int64 and len(b) for b in blocks)
+    out = np.concatenate(blocks)
+    assert np.all(np.diff(out) > 0)
+    return out.tolist()
+
+
 def test_sieve_small():
-    assert sieve_primes(97) == FIRST_PRIMES
-    assert sieve_primes(2) == [2]
-    assert sieve_primes(3) == [2, 3]
-    assert sieve_primes(4) == [2, 3]
+    assert stream(97) == FIRST_PRIMES
+    assert stream(2) == [2]
+    assert stream(3) == [2, 3]
+    assert stream(4) == [2, 3]
+    for x in range(2, 400):
+        assert stream(x) == prime_list(x), x
     # prime counting checkpoints: pi(10**4) = 1229, pi(10**5) = 9592
-    assert len(sieve_primes(10**4)) == 1229
-    assert len(sieve_primes(10**5)) == 9592
+    assert len(stream(10**4)) == 1229
+    assert len(stream(10**5)) == 9592
+
+
+def test_sieve_segment_edges():
+    # segment k holds the odd numbers from 2k * _SEGMENT + 1 on
+    edge = 2 * modmath._SEGMENT + 1
+    reference = prime_list(2 * edge + 3)
+    for x in (edge - 2, edge - 1, edge, edge + 1, edge + 2, 2 * edge - 1, 2 * edge + 3):
+        assert stream(x) == [p for p in reference if p <= x], x
+
+
+def test_sieve_base_prime_straddles_a_segment_edge():
+    # q^2 lies in the second segment, so q starts marking there, while the
+    # multiples of the prime before q run from the first segment across
+    edge = 2 * modmath._SEGMENT + 1
+    q = next(p for p in prime_list(isqrt(edge) + 100) if p * p > edge)
+    below = max(p for p in prime_list(q - 1))
+    assert below * below < edge < q * q
+    x = q * q + 4 * q
+    got = stream(x)
+    assert got == prime_list(x)
+    assert q * q not in got and q * (q + 2) not in got
+    assert not set(range(below * (edge // below), below * (edge // below + 3), below)) & set(got)
+
+
+def test_sieve_primes_just_below_2_32():
+    # the last segment of a stream to 2**32, without walking the rest
+    base = prime_list(1 << 16)[1:]
+    n = 10**5
+    lo = (1 << 32) - 2 * n + 1
+    got = modmath._segment(lo, n, base)
+    want = primes_below(1 << 32, len(got))
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert want[0] - 2 * n < lo <= want[0] and want[-1] == (1 << 32) - 5
 
 
 def test_sieve_bounds():
+    # the call itself raises, before the first next()
     with pytest.raises(ValueError):
         sieve_primes(1)
     with pytest.raises(LimitTooLarge):
         sieve_primes((1 << 32) + 1)
+    it = sieve_primes(1 << 32)  # lazy: the first segment only
+    assert next(it)[:5].tolist() == [2, 3, 5, 7, 11]
+
+
+def test_sieve_memory_is_flat():
+    # A walk to 10**8 peaks within a few MiB of a walk to 10**6 in the same
+    # process; one prime list to 10**8 would hold 5.7 million ints.
+    code = ("import resource\n"
+            "from cyclored.modmath import sieve_primes\n"
+            "peaks = []\n"
+            "for x in (10**6, 10**8):\n"
+            "    assert sum(map(len, sieve_primes(x))) == {10**6: 78498, 10**8: 5761455}[x]\n"
+            "    peaks.append(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "print(peaks[1] - peaks[0])\n")
+    src = str(Path(modmath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4 << 10  # KiB
 
 
 def test_is_prime_against_sieve():
-    primes = set(sieve_primes(2000))
+    primes = set(stream(2000))
     for n in range(2000 + 1):
         assert is_prime(n) == (n in primes), n
 
@@ -164,7 +238,7 @@ def test_primitive_root():
     assert primitive_root(3) == 2
     assert primitive_root(7) == 3
     assert primitive_root(191) == 19
-    for p in sieve_primes(100):
+    for p in prime_list(100):
         g = primitive_root(p)
         seen = set()
         v = 1

@@ -12,8 +12,10 @@ decided by exact arithmetic, never by a float comparison.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import prod
 
 from . import __version__
@@ -220,9 +222,20 @@ def artin_constant(L: int) -> Interval:
     into lo, rounded down, so both endpoints are dyadic rationals
     k / 2**SCALE_BITS.  Each rounding costs at most one unit, and a unit
     stays below the 1/L^3 tail for every L <= 2**32.
+
+    L is read as an exact integer (operator.index, so an np.int64 works
+    and a float raises TypeError).  The product is computed once per
+    truncation per process: the enclosure is immutable, so a repeated L
+    returns the same Interval from a small memo without a sieve.
     """
+    L = operator.index(L)
     if L < 2:
         raise ValueError("truncation bound must be at least 2")
+    return _artin_product(L)
+
+
+@lru_cache(maxsize=64)
+def _artin_product(L: int) -> Interval:
     lo = hi = _ONE
     for block in sieve_primes(L):
         for l in block.tolist():
@@ -408,8 +421,9 @@ def build_density_report(
 ) -> DensityReport:
     """Assemble the full density picture for one profile.
 
-    One product, A_inf truncated at L, is evaluated; naive and delta are
-    its exact rational rescalings by c_factor(profile, 1) and by c, so an
+    A_inf truncated at L is computed once per truncation per process
+    (artin_constant's memo); a report is its rescaling by exact
+    rationals: naive by c_factor(profile, 1) and delta by c, so an
     annotated prime above L enters by its exact ratio.
 
     The provenance records the version, the method, the truncation L,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
 
+from .census import CHUNK_SIZE
 from .curve import CurveOverQ, group_order, group_orders, reduce
 from .modmath import is_prime, legendre, sieve_primes
 
@@ -119,13 +120,15 @@ def frobenius_trace(curve: CurveOverQ, p: int) -> int:
 
 
 def _group_orders_in_batches(curve: CurveOverQ, bound: int, l: int):
-    """(p, #E(F_p)) for the good primes p <= bound other than l, in order."""
+    """(p, #E(F_p)) for the good primes p <= bound other than l, in order,
+    in batches of 64, 128, ... primes that stop doubling at the census's
+    CHUNK_SIZE, so memory stays flat however large the bound."""
     good = (p for block in sieve_primes(bound) for p in block.tolist()
             if p != l and curve.delta_E % p)
     size = 64
     while batch := list(islice(good, size)):
         yield from zip(batch, group_orders(curve.A, curve.B, batch))
-        size *= 2
+        size = min(2 * size, CHUNK_SIZE)
 
 
 def certify_surjective(
@@ -135,7 +138,8 @@ def certify_surjective(
     witness that the mod-l image is the full matrix group.
 
     The group orders come from curve.group_orders in batches of 64, 128,
-    256, ... primes, so a run that certifies early pays for few of them.
+    ..., CHUNK_SIZE (4096), 4096, ... primes, so a run that certifies
+    early pays for few of them and a long run holds one batch at a time.
     Witnesses over pairs (t, d) = (a_p mod l, p mod l) with t != 0:
     W1 needs t^2 - 4d a nonzero non-square, W2 a nonzero square, and W3
     a ratio u = t^2/d outside {0, 1, 2, 4} with u^2 - 3u + 1 != 0.

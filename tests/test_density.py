@@ -5,10 +5,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import cyclored
 from conftest import exact_euler_interval, prime_list
+from cyclored import density
 from cyclored.curve import CurveOverQ
 from cyclored.density import (
     DegreeOne,
@@ -30,7 +32,7 @@ from cyclored.density import (
     superfluous_correction,
 )
 from cyclored.entangle import index2_character_subgroup
-from cyclored.modmath import factorize
+from cyclored.modmath import LimitTooLarge, factorize
 from cyclored.registry import REGISTRY
 from cyclored.utils import truncate_decimal
 
@@ -161,15 +163,69 @@ def test_profile_json_round_trip():
 
 def test_artin_constant_endpoints():
     # at L = 2 the product is 1 - 1/6 = 5/6, rounded up for hi; lo rounds
-    # 5/6 down, then folds in the tail bound 1/8, rounding down again
+    # 5/6 down, then folds in the tail bound 1/8, rounding down again;
+    # each truncation is a memo miss, equal to the unmemoised product
+    density._artin_product.cache_clear()
     scale = 2**256
     iv = artin_constant(2)
     assert iv.hi == F(-(-5 * scale // 6), scale)
     assert iv.lo == F(5 * scale // 6 * 7 // 8, scale)
     for L in TRUNCATIONS:
-        assert_tight_enclosure(artin_constant(L), exact_euler_interval(L, gl2_order), L)
+        iv = artin_constant(L)
+        assert iv == density._artin_product.__wrapped__(L)
+        assert_tight_enclosure(iv, exact_euler_interval(L, gl2_order), L)
     with pytest.raises(ValueError):
         artin_constant(1)
+
+
+def test_artin_constant_memo_walks_one_sieve_per_truncation(monkeypatch):
+    # a repeated truncation, from any caller, returns the first Interval
+    # itself; the sieve raises if it is walked a second time
+    density._artin_product.cache_clear()
+    real, walks = density.sieve_primes, []
+
+    def sieve_once(x):
+        if walks:
+            raise AssertionError(f"second sieve walk, to {x}")
+        walks.append(x)
+        return real(x)
+
+    monkeypatch.setattr(density, "sieve_primes", sieve_once)
+    first = artin_constant(1000)
+    assert artin_constant(1000) is first
+    prof = REGISTRY["serre-ex3"].profile
+    assert build_density_report(prof, 1000).a_inf is first
+    assert naive_density(DegreeProfile(), 1000) == first
+    assert walks == [1000]
+    with pytest.raises(AssertionError, match="second sieve walk"):
+        artin_constant(1001)
+
+
+def test_artin_constant_memo_is_bounded():
+    density._artin_product.cache_clear()
+    maxsize = density._artin_product.cache_info().maxsize
+    for L in range(2, maxsize + 3):
+        artin_constant(L)
+    info = density._artin_product.cache_info()
+    assert info.misses == maxsize + 1
+    assert info.currsize <= maxsize
+    artin_constant(2)  # the oldest entry was evicted
+    assert density._artin_product.cache_info().misses == maxsize + 2
+
+
+def test_artin_constant_truncation_key():
+    density._artin_product.cache_clear()
+    iv = artin_constant(np.int64(10**5))
+    assert artin_constant(10**5) is iv
+    info = density._artin_product.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    for bad, exc in ((1000.0, TypeError), (np.float64(1000), TypeError),
+                     ("1000", TypeError), (True, ValueError), (False, ValueError),
+                     (1, ValueError), (np.int64(1), ValueError), (-7, ValueError),
+                     (2**32 + 1, LimitTooLarge)):
+        with pytest.raises(exc):
+            artin_constant(bad)
+    assert density._artin_product.cache_info() == info._replace(misses=2)
 
 
 def test_artin_constant_nesting():

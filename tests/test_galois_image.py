@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import FIVE_CURVES, brute_points, prime_list
+from cyclored import galois_image
 from cyclored.curve import BadReduction, CurveOverQ
 from cyclored.galois_image import (
     InvalidPrime,
@@ -186,3 +187,25 @@ def test_certify_surjective_on_big_coefficient_curves(E, want):
         res = certify_surjective(E, l, sample_bound=20_000)
         assert res.certified == (l >= 5)
         assert (res.fingerprint.samples, res.fingerprint.trace_det_pairs) == (samples, pairs)
+
+
+@pytest.mark.parametrize("bound, lengths, samples", [
+    (10**5, [64, 128, 256, 512, 1024, 2048, 4096, 1460], 9588),
+    (2 * 10**5, [64, 128, 256, 512, 1024, 2048, 4096, 4096, 4096, 1660], 17980),
+])
+def test_certification_batches_stop_doubling_at_chunk_size(monkeypatch, bound, lengths, samples):
+    # l = 3 never stops early, so every good prime up to the bound is
+    # sampled; batches double up to the census chunk of 4096 primes and
+    # stay there, and the fingerprint is that of unbounded doubling
+    real, seen = galois_image.group_orders, []
+
+    def recording(A, B, primes):
+        seen.append(len(primes))
+        return real(A, B, primes)
+
+    monkeypatch.setattr(galois_image, "group_orders", recording)
+    res = certify_surjective(CurveOverQ(1, 3), 3, sample_bound=bound)
+    assert seen == lengths
+    assert not res.certified
+    assert res.fingerprint.samples == samples
+    assert res.fingerprint.trace_det_pairs == {(t, d) for t in range(3) for d in (1, 2)}

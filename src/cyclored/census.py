@@ -158,8 +158,9 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
 
     For non-cyclic groups the obstruction primes are the prime divisors of
     the first group invariant d (the primes with full torsion at p).  A
-    non-prime p, and p >= 2**32, where no group order is computed, raise
-    ValueError.
+    prime p >= 2**32 of bad reduction returns bad_reduction; a good one,
+    whose group order is not computed there, raises ValueError, as do a
+    non-prime p and one at or above modmath.PRIMALITY_BOUND.
     """
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
@@ -460,8 +461,11 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     Counts good p <= x with no full l-torsion for any prime l | n two ways:
     directly, and as sum over squarefree m | n of mu(m) times the number of
     primes with full m-torsion (full l-torsion for every prime l | m).
-    Both counts come from the census's classification of each chunk of
-    primes, so equality is a genuine consistency check of that code.
+    Inclusion-exclusion is an identity: the two counts agree for any
+    per-prime torsion sets, so equality checks the moebius values and the
+    squarefree-divisor bookkeeping, not the classification.  The
+    statistic is terms, those full m-torsion counts, taken from the
+    census's classification of each chunk of primes.
     """
     if n < 1:
         raise ValueError("modulus must be at least 1")

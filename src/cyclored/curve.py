@@ -710,7 +710,7 @@ def _sylow_point(p, a, b, cof, l, v, s):
     return S, _l_height(S, l, v, p, a), s
 
 
-def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
+def _sylow_first_invariant(p, a, b, N, l, v) -> int:
     """Exponent of l in the first invariant factor d, certified.
 
     The l-Sylow subgroup is Z/l^a x Z/l^b with a + b = v and
@@ -727,7 +727,7 @@ def _sylow_first_invariant(p, a, b, N, l, v, budget=_STRUCTURE_BUDGET) -> int:
     s = _mix_seed(p, a, b, 16 + l)
     best = None
     bestj = 0
-    for _ in range(budget):
+    for _ in range(_STRUCTURE_BUDGET):
         S, j, s = _sylow_point(p, a, b, cof, l, v, s)
         if j > bestj:
             best, bestj = S, j

@@ -104,7 +104,9 @@ class DegreeProfile:
     condition is implied by another division field (their Euler factor
     must be cancelled).  charsum marks a set of primes tied together by a
     quadratic character, cutting the joint degree in half.  overrides
-    pins the degree of specific squarefree composites directly.
+    pins the degree of specific squarefree composites directly.  Each
+    annotated prime is checked once by is_prime, so one at or above
+    modmath.PRIMALITY_BOUND raises ValueError there.
     """
 
     degrees: dict[int, int] = field(default_factory=dict)
@@ -115,17 +117,12 @@ class DegreeProfile:
     def __post_init__(self):
         object.__setattr__(self, "superfluous", frozenset(self.superfluous))
         object.__setattr__(self, "charsum", frozenset(self.charsum))
-        for l in self.annotated_primes():
-            if l >= 1 << 64:  # where is_prime stops being exact
-                raise ValueError(f"annotated prime {l} must be below 2**64")
-        for l, d in self.degrees.items():
-            if not is_prime(l):
-                raise ValueError(f"degree key {l} is not prime")
-            if d < 1:
-                raise ValueError(f"degree for {l} must be positive")
-        for l in self.superfluous | self.charsum:
+        for l in sorted(self.annotated_primes()):
             if not is_prime(l):
                 raise ValueError(f"annotated prime {l} is not prime")
+        for l, d in self.degrees.items():
+            if d < 1:
+                raise ValueError(f"degree for {l} must be positive")
         if self.superfluous & self.charsum:
             raise ValueError("a prime may carry at most one entanglement role")
         if len(self.charsum) == 1:
@@ -397,11 +394,10 @@ class DensityReport:
     delta: Interval
     vanishing: str
     provenance: dict = field(default_factory=dict)
-    schema_version: int = 1
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": 1,
             "profile": self.profile.to_json_dict(),
             "truncation": self.truncation,
             "a_inf": _interval_json(self.a_inf),

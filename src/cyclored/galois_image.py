@@ -146,9 +146,14 @@ def certify_surjective(
     Together they exclude the reducible, dihedral, and exceptional
     subgroup classes for l >= 5, so all three certify surjectivity.
     For l = 3 the classification shortcut fails and only the fingerprint
-    is reported; l = 2 is rejected (the cubic answers that case exactly).
+    is reported; l = 2 is rejected (the cubic answers that case exactly),
+    as is a non-prime l and one at or above modmath.PRIMALITY_BOUND.
     """
-    if l < 3 or not is_prime(l):
+    try:
+        prime = l >= 3 and is_prime(l)
+    except ValueError as exc:  # l past the bound where primality is decided
+        raise InvalidPrime(str(exc)) from None
+    if not prime:
         raise InvalidPrime(f"certification undefined for l={l}")
     w1 = w2 = w3 = False
     pairs: set[tuple[int, int]] = set()

@@ -1,9 +1,10 @@
 """Modular arithmetic and factorization primitives.
 
 Everything here is deterministic: primality testing uses a fixed
-Miller-Rabin witness set that is exhaustive for 64-bit inputs, and the
-Pollard rho fallback in ``factorize`` walks a fixed schedule of cycle
-parameters, so repeated runs factor the same integer the same way.
+Miller-Rabin witness set, exact below PRIMALITY_BOUND and refused at or
+above it, and the Pollard rho fallback in ``factorize`` walks a fixed
+schedule of cycle parameters, so repeated runs factor the same integer
+the same way.
 """
 
 from __future__ import annotations
@@ -20,8 +21,12 @@ class LimitTooLarge(Exception):
     """Raised by sieve_primes when the requested bound exceeds 2**32."""
 
 
-# Exhaustive for n < 3_317_044_064_679_887_385_961_981 (covers 64-bit).
+# The first twelve primes as witnesses decide primality exactly below
+# psi_12, the least strong pseudoprime to all of them (OEIS A014233;
+# Sorenson and Webster, Math. Comp. 86, 2017): psi_12 itself is
+# 399165290221 * 798330580441.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+PRIMALITY_BOUND = 318_665_857_834_031_151_167_461
 
 _TRIAL_BOUND = 100_000
 SIEVE_LIMIT = 1 << 32
@@ -85,10 +90,14 @@ def sqrt_residue(a: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exhaustive for n < 2**64."""
+    """Deterministic Miller-Rabin, exact for n < PRIMALITY_BOUND (psi_12,
+    about 3.2 * 10**23); at or above it, where the witnesses prove
+    nothing, raises ValueError naming the bound."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"primality is decided only below {PRIMALITY_BOUND}, not for {n}")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1

@@ -38,7 +38,7 @@ def test_truncate_decimal():
     assert truncate_decimal(1, 10**30, 4) == "0.0000"
 
 
-def test_atomic_writers(tmp_path):
+def test_atomic_writers(tmp_path, capsys):
     path = tmp_path / "out.json"
     write_json_atomic(str(path), {"b": 1, "a": [1, 2]})
     text = path.read_text()
@@ -50,6 +50,20 @@ def test_atomic_writers(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # no temp droppings
     with pytest.raises(OSError):
         write_text_atomic(str(tmp_path / "missing" / "out.txt"), "x")
+    # onto a directory the temp file is made and written, the rename
+    # fails, and the temp file is removed before the error propagates
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_text_atomic(str(target), "x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "taken"]
+    assert list(target.iterdir()) == []
+    code, out, err = run_cli(capsys, "density", "--label", "serre-ex1",
+                             "--output", str(target))
+    assert code == 4
+    assert "report written" not in out
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "taken"]
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +252,10 @@ def test_cli_density_input_errors(tmp_path, capsys):
 def test_cli_density_annotated_prime_near_2_32(tmp_path, capsys):
     # an annotated prime above the truncation enters by its exact ratio,
     # with no sieve up to it, and the report records the truncation asked
-    # for; primes on both sides of 2**32 pass, as does the largest prime
-    # below 2**64, where is_prime stops being exact
-    for prime in ("4294967291", "4294967311", "18446744073709551557"):
+    # for; primes on both sides of 2**32 and 2**64 pass, as does the
+    # largest prime below 318665857834031151167461, where is_prime stops
+    for prime in ("4294967291", "4294967311", "18446744073709551557",
+                  "18446744073709551629", "318665857834031151167441"):
         prof_path = tmp_path / "prof.json"
         prof_path.write_text(json.dumps({"degrees": {prime: 2}}))
         out_path = tmp_path / "density.json"
@@ -276,7 +291,8 @@ def test_cli_density_output_at_default_truncation(tmp_path, capsys):
     ({"degrees": {"11": 1}, "superfluous": [11]}, "degree 1 at superfluous prime 11"),
     ([{"degrees": {"2": 3}}], "a profile must be a JSON object"),
     ({"degrees": [[2, 3]]}, "degrees must be a JSON object"),
-    ({"degrees": {"18446744073709551629": 2}}, "must be below 2**64"),  # 2**64 + 13
+    # at psi_12, the least strong pseudoprime to is_prime's twelve witnesses
+    ({"degrees": {"318665857834031151167461": 2}}, "decided only below 318665857834031151167461"),
     ({"degrees": {str(l): 10**2000 for l in (2, 3, 5)}}, "integer string conversion"),
     ({"degrees": {"5": 3.9}}, "degree values must be integers"),
     ({"degrees": {"5": True}}, "degree values must be integers"),
@@ -287,6 +303,7 @@ def test_cli_density_output_at_default_truncation(tmp_path, capsys):
     ({"charsum": ["2", "3"]}, "charsum primes must be integers"),
     ({"overrides": {"6": 2.0}}, "override values must be integers"),
     ({"degrees": {"2": 6, "3": 48}, "overrides": {"6": 144}}, "overrides feed delta_partial only"),
+    ({"charsum": [2, 318665857834031151167461]}, "decided only below 318665857834031151167461"),
 ])
 def test_cli_density_profile_errors(tmp_path, capsys, doc, reason):
     path = tmp_path / "prof.json"
@@ -372,10 +389,12 @@ def test_cli_density_and_constants_edge_sweep(tmp_path, capsys):
 _EDGE_COEFFS = [0, 1, -1, 2, -3, 4, 2**62 - 1, 2**62, -(2**62), 2**63 - 1, 2**64,
                 2**200, -(2**200)]
 _EDGE_LIMITS = ["-1", "0", "1", "2", "3", "1000", "3000", "4294967297", str(10**30)]
-_EDGE_ELLS = ["-3", "0", "1", "2", "3", "4", "5", "7", "13", str(2**61 - 1), str(10**30)]
+_PSI_12 = 318665857834031151167461  # where is_prime stops deciding
+_EDGE_ELLS = ["-3", "0", "1", "2", "3", "4", "5", "7", "13", str(2**61 - 1), str(_PSI_12),
+              str(10**30)]
 _EDGE_BOUNDS = ["-1", "0", "1", "2", "3", "100", "1000", "4294967297"]
-_EDGE_MODULI = [[3, 5, 7], [4], [2, 2], [-3], [0], [3.5], [2**61 - 1], [10**30], [None],
-                ["3"], 3, None, [5.0], [True]]
+_EDGE_MODULI = [[3, 5, 7], [4], [2, 2], [-3], [0], [3.5], [2**61 - 1], [_PSI_12], [10**30],
+                [None], ["3"], 3, None, [5.0], [True]]
 _EDGE_MATRICES = [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [2, 0, 0, 1], [-1, 0, 0, 1],
                   [1, 2, 2, 4], [2.9, 0, 0, 1.5], [1, True, 0, 1]]
 _EDGE_GENERATORS = [[], [[[1, 1, 0, 1]]], [[[0, 1, 1, 0]], [[1, 1, 0, 1]]],
@@ -511,6 +530,13 @@ def test_cli_entangle(tmp_path, capsys):
     weird.write_text(json.dumps({"construction": "banana", "moduli": [2]}))
     code, _, err = run_cli(capsys, "entangle", str(weird))
     assert code == 2
+    # a closure over psi_12, which passes all twelve Miller-Rabin witnesses
+    weird.write_text(json.dumps({"moduli": [318665857834031151167461],
+                                 "generators": [[[-1, 0, 0, 1]]]}))
+    code, out, err = run_cli(capsys, "entangle", str(weird))
+    assert code == 2 and out == ""
+    assert err.startswith("error: group description: primality is decided only below ")
+    assert err.count("\n") == 1
     # a generator with more matrices than moduli is refused, not truncated
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps({"construction": "closure", "moduli": [3],
@@ -548,6 +574,14 @@ def test_cli_galois(capsys):
 
     code, _, err = run_cli(capsys, "galois", "--label", "serre-ex4", "--l", "2")
     assert code == 2
+
+    # psi_12 = 399165290221 * 798330580441 passes all twelve Miller-Rabin
+    # witnesses; the certification is refused, not run
+    code, out, err = run_cli(capsys, "galois", "--a", "1", "--b", "1",
+                             "--l", "318665857834031151167461", "--sample-bound", "2000")
+    assert code == 2 and "mod-" not in out
+    assert err == "error: primality is decided only below 318665857834031151167461, " \
+                  "not for 318665857834031151167461\n"
 
     # |B| >= 2^62: x^3 + x + 2^62 has no rational root and a negative
     # discriminant; (x - r)(x - s)(x + r + s) splits

@@ -186,7 +186,11 @@ def test_checkpoint_resume_matches_scratch(tmp_path, monkeypatch):
     assert not any(set(json.loads(line)) & set(census._RUN_COUNTS)
                    for line in open(ck).read().splitlines())
 
-    # a third run over the same bound reuses every chunk without rewriting
+    # a third run over the same bound, with blank lines among the records,
+    # reuses every chunk without rewriting
+    header, *records = open(ck).read().splitlines()
+    with open(ck, "w") as fh:
+        fh.write("\n".join([header, records[0], "", "   "] + records[1:] + [""]) + "\n")
     before = open(ck).read()
     again = run_census(E1, 5000, checkpoint=ck)
     assert strip_elapsed(again) == strip_elapsed(scratch)
@@ -205,9 +209,18 @@ def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
         with open(ck, "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    # empty file
-    rewrite([""])
-    with pytest.raises(CheckpointCorrupt):
+    # empty file: no bytes at all
+    open(ck, "w").close()
+    with pytest.raises(CheckpointCorrupt, match="checkpoint file is empty"):
+        run_census(E1, 1500, checkpoint=ck)
+
+    # a header of another version, and a record of another kind
+    rewrite([json.dumps(dict(json.loads(good_lines[0]), version=2))] + good_lines[1:])
+    with pytest.raises(CheckpointCorrupt, match="missing or unsupported header record"):
+        run_census(E1, 1500, checkpoint=ck)
+    rewrite([good_lines[0], json.dumps(dict(json.loads(good_lines[1]), kind="note"))]
+            + good_lines[2:])
+    with pytest.raises(CheckpointCorrupt, match="unexpected record kind 'note'"):
         run_census(E1, 1500, checkpoint=ck)
 
     # garbage header
@@ -244,13 +257,11 @@ def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
         with pytest.raises(CheckpointCorrupt, match="bad primes"):
             run_census(E1, 1500, checkpoint=ck)
 
-    # two conflicting copies of one chunk
+    # two copies of one chunk, each consistent on its own, that disagree
     rec = dict(json.loads(good_lines[1]))
     rec["cyclic"] -= 1
-    rec["good"] -= 1
-    rec["bad"] = list(rec["bad"]) + [9973]
     rewrite(good_lines + [json.dumps(rec)])
-    with pytest.raises(CheckpointCorrupt):
+    with pytest.raises(CheckpointCorrupt, match=r"conflicting records for chunk \(2, 311, 64\)"):
         run_census(E1, 1500, checkpoint=ck)
 
     # chunk tracking different split primes

@@ -135,6 +135,24 @@ def test_is_prime_known_hard_cases():
     assert not is_prime(-7)
 
 
+def test_is_prime_refuses_at_psi_12():
+    # psi_12, the least strong pseudoprime to the twelve witnesses 2..37,
+    # would pass them all; from it on, primes and even numbers alike are
+    # refused rather than answered
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 == modmath.PRIMALITY_BOUND
+    for n in (psi12, psi12 + 1, 2**89 - 1, 10**30):
+        with pytest.raises(ValueError, match="decided only below 318665857834031151167461"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="decided only below"):
+            primitive_root(n)
+    # below it the answers stand: the largest prime below psi_12, and the
+    # odd composite just under it
+    assert is_prime(2**64 + 13)
+    assert is_prime(psi12 - 20)
+    assert not is_prime(psi12 - 2)  # = 137 * 2326028159372490154507
+
+
 def test_legendre_squares_mod_7():
     squares = {x * x % 7 for x in range(1, 7)}
     assert squares == {1, 2, 4}

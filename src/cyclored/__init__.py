@@ -2,7 +2,7 @@
 curves: an exact prime census, rigorous density enclosures with
 entanglement corrections, and finite matrix-group oracles."""
 
-# Set before the submodules load: density reports record it as provenance.
+# Set before the submodules load: census and density reports record it as provenance.
 __version__ = "0.1.0"
 
 from .census import (

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .curve import (
     CurveOverQ,
     ReducedCurve,
@@ -40,6 +41,11 @@ _CHECKPOINT_VERSION = 1
 _RUN_COUNTS = ("orders_batched", "orders_exhaustive", "lane_points", "lane_passes",
                "lanes_twisted", "two_by_discriminant", "frobenius_lanes", "structure_exact",
                "sylow_sampled")
+# how a report's counts were made, recorded in its JSON
+_METHOD = ("group orders by baby-step giant-step in numpy lanes on the curve and its "
+           "quadratic twist, exhaustive below 2**10; l | d for l = 2 from the cubic's "
+           "discriminant, for l = 3, 5 from Frobenius on division polynomials, for l >= 7 "
+           "from the exact group structure with certified Sylow sampling")
 # the primes among 2, 3 and 5 named by the bits of k, for k < 8
 _SUPPORTS = [tuple(l for j, l in enumerate((2, 3, 5)) if k >> j & 1) for k in range(8)]
 
@@ -108,6 +114,7 @@ class CensusReport:
             "split_counts": {str(l): n for l, n in sorted(self.split_counts.items())},
             "elapsed_seconds": self.elapsed_seconds,
             "extra": self.extra,
+            "provenance": {"version": __version__, "method": _METHOD},
         }
 
 

@@ -423,21 +423,25 @@ def _lane_orders(ps, As, xs, ys, shifted=False):
         G[:, i] = _jmadd(*G[:, i - 1], *S, p, lazy)
     g_ok = _to_affine(G, p, lazy)
 
-    # a giant key (lane, x, 0) meets the first baby key at or above it; the
-    # keys go in G[2], free after _to_affine
-    gkey = G[2].ravel()
+    # giant keys (lane, x, row) in G[2], free after _to_affine, sorted so
+    # that the searches walk the baby keys in order; a giant's (lane, x)
+    # with the low bits masked off meets the first baby key at or above it
     np.bitwise_or(lane << 32, G[0], out=G[2])
-    gkey <<= 16
-    pos = np.searchsorted(bkey, gkey)
+    G[2] <<= 16
+    G[2] |= np.arange(G.shape[1], dtype=np.uint64)[:, None]
+    gkey = G[2].ravel()
+    gkey.sort()
+    pos = np.searchsorted(bkey, gkey & ~np.uint64(0xFFFF))
     np.minimum(pos, len(bkey) - 1, out=pos)
     near = bkey[pos]
-    near &= ~np.uint64(0xFFFF)
-    hit = np.flatnonzero(near == gkey)
+    near ^= gkey
+    hit = np.flatnonzero(near < 0x10000)  # the same lane and x
     del near
-    li = hit % n
+    li = (gkey[hit] >> 48).astype(np.int64)
+    row = (gkey[hit] & 0xFFFF).astype(np.int64)
     j = (bkey[pos[hit]] & 0xFFFF).astype(np.int64)
-    same = G[1].ravel()[hit] == by.ravel()[(j - 1) * n + li]
-    k = c0[li] + (hit // n) * stride + np.where(same, -j, j)
+    same = G[1][row, li] == by[j - 1, li]
+    k = c0[li] + row * stride + np.where(same, -j, j)
     keep = (k >= lo[li]) & (k <= hi[li])
     found = np.sort((li[keep].astype(np.int64) << 34) | k[keep])
     found = found[np.diff(found, prepend=-1) != 0]
@@ -718,11 +722,10 @@ def _sylow_first_invariant(p, a, b, N, l, v) -> int:
     a = 0.  Otherwise a = v - b is certified from above by a point of
     order l^b and from below by two independent points of order l^a;
     reducing both to order l and listing the <= l multiples of one
-    decides independence.
+    decides independence.  Callers pass v >= 2 and l | p - 1, so that
+    bound on a is at least 1.
     """
     amax = min(v // 2, _valuation(p - 1, l))
-    if amax == 0:
-        return 0
     cof = N // l**v
     s = _mix_seed(p, a, b, 16 + l)
     best = None

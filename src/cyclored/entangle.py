@@ -6,13 +6,14 @@ integer order equals lexicographic order of the serialized matrices and
 deduplication is exact.  A group stores its codes in one sorted numpy
 array: int64 when the code space fits 64-bit arithmetic, Python
 integers in an object array otherwise.  _encode_array packs and _split
-unpacks every code.
+unpacks every tuple code.
 
-A closure is computed in two stages: each modulus's projection is
-closed on its own in Python, giving one permutation table per
-generator, and the generated subgroup is then walked in numpy, a
-breadth-first level at a time, on mixed-radix indices into the
-product of those projections.
+A closure is computed in two stages.  Stage 1 closes each modulus's
+projection on its own in Python, as an orbit enumeration: a
+breadth-first walk over packed matrices with a dict from packed code to
+position, giving one permutation table per generator.  Stage 2 walks
+the generated subgroup in numpy, a breadth-first level at a time, on
+mixed-radix indices into the product of those projections.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ def _encode(mats, moduli: tuple[int, ...]) -> int:
     return int(_encode_array([_pack_mat(m, l) for m, l in zip(mats, moduli)], moduli))
 
 
-def _decode(code: int, moduli: tuple[int, ...]) -> tuple[Mat, ...]:
-    codes = np.array([code], dtype=_dtype(_code_space(moduli)))
-    comps = _split(codes, [l**4 for l in moduli])
-    return tuple(_unpack_mat(int(c[0]), l) for c, l in zip(comps, moduli))
-
-
 class MatrixTupleGroup:
     """Immutable enumerated subgroup of a product of matrix groups.
 
@@ -171,15 +166,6 @@ class MatrixTupleGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def identity_code(self) -> int:
-        return _encode((_ID,) * len(self.moduli), self.moduli)
-
-    def decode(self, code: int) -> tuple[Mat, ...]:
-        return _decode(int(code), self.moduli)
-
-    def element_tuples(self) -> list[MatrixTuple]:
-        return [MatrixTuple(self.moduli, self.decode(c)) for c in self.elements]
-
 
 def _gl2_size(l: int) -> int:
     return (l * l - 1) * (l * l - l)
@@ -200,31 +186,34 @@ def standard_gl2_generators(l: int) -> list[Mat]:
 
 def _close_projection(gens: list[Mat], l: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first closure of one modulus's generator components in
-    GL2(F_l).  Returns the projection's packed matrices (the identity
-    first) and a table with one row per generator g: the index of h*g
-    for each index h.  Every product is one table entry, so each
-    (element, generator) pair is multiplied exactly once."""
-    elems = [_pack_mat(_ID, l)]
-    # one integer object per code, so that the lists hold only references
-    kept = {elems[0]: elems[0]}
-    products = []  # the code of h*g at position h * len(gens) + g
-    for h in elems:  # the list grows while it is walked: a queue
-        m = _unpack_mat(h, l)
+    GL2(F_l): an orbit enumeration with a dict from packed code to
+    breadth-first position.  Returns the projection's packed matrices in
+    breadth-first order (the identity first) and a table with one row
+    per generator g: the position of h*g for each position h.  Each
+    element is unpacked once and each (element, generator) pair is
+    multiplied exactly once, by _mat_mul."""
+    codes = [_pack_mat(_ID, l)]  # the queue: it grows while it is walked
+    index = {codes[0]: 0}
+    table = []  # the position of h*g at h * len(gens) + g
+    n = 1  # len(codes)
+    for h in codes:
+        h, d = divmod(h, l)
+        h, c = divmod(h, l)
+        a, b = divmod(h, l)
+        m = (a, b, c, d)
         for g in gens:
-            code = _pack_mat(_mat_mul(m, g, l), l)
-            code = kept.setdefault(code, code)
-            if len(kept) > len(elems):
+            a, b, c, d = _mat_mul(m, g, l)
+            code = ((a * l + b) * l + c) * l + d
+            pos = index.setdefault(code, n)
+            if pos == n:
                 # the group is at least as large as its projection
-                if len(elems) >= cap:
+                if n >= cap:
                     raise ClosureCapExceeded(f"more than {cap} elements modulo {l}")
-                elems.append(code)
-            products.append(code)
-    del kept
-    codes, products = np.array(elems), np.array(products)
-    del elems
-    by_code = np.argsort(codes)
-    table = by_code[np.searchsorted(codes[by_code], products)]
-    return codes, table.reshape(len(codes), len(gens)).T.copy()
+                codes.append(code)
+                n += 1
+            table.append(pos)
+    del index
+    return np.array(codes), np.array(table, dtype=np.intp).reshape(n, len(gens)).T.copy()
 
 
 def _split(x: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
@@ -283,9 +272,12 @@ def generate_closure(moduli, generators, cap: int = DEFAULT_CLOSURE_CAP) -> Matr
 
     Stage 1 closes each modulus's generator components on its own,
     giving the projection H_l and a permutation table for right
-    multiplication by each generator.  The cap applies here already,
-    since the group is at least as large as each projection.  With a
-    single modulus the group is its projection.
+    multiplication by each generator: a breadth-first walk in Python in
+    which each product is one _mat_mul call and one lookup in a dict
+    from packed matrix to position, and its table entry is that
+    position.  The cap applies here already, since the group is at
+    least as large as each projection.  With a single modulus the group
+    is its projection.
 
     Stage 2 walks the group breadth-first on mixed-radix indices into
     the product of the H_l, a whole level at a time in numpy: a step

@@ -4,8 +4,8 @@ The oracles never call the code paths they validate: point counting is
 a full quadratic-residue scan, group orders above 10^4 come from a
 one-prime baby-step giant-step in Python on this module's group law,
 group invariants come from the order statistics of every single point or
-from counts of torsion points, and truncated Euler products are exact
-Fractions.
+from counts of torsion points, truncated Euler products are exact
+Fractions, and packed matrix-tuple codes are read back digit by digit.
 """
 
 from __future__ import annotations
@@ -248,6 +248,28 @@ def brute_first_invariant(p: int, a: int, b: int) -> int:
             k += 1
         d *= l**k
     return d
+
+
+def decode(code, moduli) -> tuple:
+    """The matrices (a, b, c, d) of a packed tuple code: one base-l digit
+    per entry, big-endian, the components in the order of moduli, read
+    off one Python integer by divmod."""
+    code, mats = int(code), []
+    for l in reversed(moduli):
+        digits = []
+        for _ in range(4):
+            code, x = divmod(code, l)
+            digits.append(x)
+        mats.append(tuple(digits[::-1]))
+    assert code == 0, "code outside the code space"
+    return tuple(mats[::-1])
+
+
+def mat_mul(m, n, l):
+    """The 2x2 matrix product m n modulo l, row-major quadruples."""
+    (a, b, c, d), (e, f, g, h) = m, n
+    return ((a * e + b * g) % l, (a * f + b * h) % l,
+            (c * e + d * g) % l, (c * f + d * h) % l)
 
 
 def _euler_product(L: int, degree_of, skip=None) -> Fraction | None:

@@ -116,6 +116,7 @@ def test_cli_census_label(tmp_path, capsys):
     doc = json.loads(out_path.read_text())
     assert doc["limit"] == 3000
     assert doc["label"] == "serre-ex1"
+    assert set(doc["provenance"]) == {"version", "method"}
     # re-serializing the parsed report reproduces the file byte for byte
     second = tmp_path / "again.json"
     write_json_atomic(str(second), doc)

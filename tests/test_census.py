@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from conftest import brute_structure, prime_list, torsion_bands
+import cyclored
 from cyclored import census
 from cyclored.census import (
     SPLIT_PRIMES,
@@ -143,6 +144,19 @@ def test_report_json_round_trip():
     d = r.to_json_dict()
     assert json.loads(json.dumps(d)) == d
     assert (d["schema_version"], d["chunk_size"], d["label"]) == (1, 4096, "ex2")
+
+
+def test_report_provenance(tmp_path):
+    # the version and the method, the same on a resumed run, and never in
+    # the checkpoint, whose records resume compares for equality
+    ck = tmp_path / "ck.jsonl"
+    first = run_census(E1, 3000, checkpoint=str(ck)).to_json_dict()
+    resumed = run_census(E1, 3000, checkpoint=str(ck))
+    assert resumed.extra["chunks_reused"] == 1
+    assert first["provenance"] == resumed.to_json_dict()["provenance"] == {
+        "version": cyclored.__version__, "method": census._METHOD}
+    assert "baby-step giant-step" in census._METHOD
+    assert census._METHOD not in ck.read_text() and "provenance" not in ck.read_text()
 
 
 def test_run_census_validation():

@@ -9,7 +9,8 @@ from math import lcm
 import numpy as np
 import pytest
 
-from conftest import prime_list
+from conftest import decode, mat_mul, prime_list
+from cyclored import entangle
 from cyclored.density import charsum_alpha, gl2_order
 from cyclored.entangle import (
     CharacterNotSurjective,
@@ -43,8 +44,7 @@ def embed(moduli, i, mat) -> MatrixTuple:
 def test_matrix_tuple_normalization_and_code():
     mt = MatrixTuple((5,), ((6, -1, 0, 1),))
     assert mt.mats == ((1, 4, 0, 1),)
-    G = full_product_group((5,))
-    assert G.decode(mt.code()) == mt.mats
+    assert decode(mt.code(), (5,)) == mt.mats
     with pytest.raises(ValueError):
         MatrixTuple((5,), ((1, 2, 2, 4),))  # singular
     with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ def test_matrix_tuple_normalization_and_code():
 
 def test_codes_are_lexicographic():
     G = full_product_group((2, 3), cap=10**3)
-    tuples = [mt.mats for mt in G.element_tuples()]
+    tuples = [decode(c, G.moduli) for c in G.elements]
     assert tuples == sorted(tuples)
     assert list(G.elements) == sorted(int(c) for c in G.elements)
 
@@ -116,14 +116,11 @@ def test_closure_is_multiplicatively_closed():
     assert G.order == 24
     codes = set(int(c) for c in G.elements)
     rng = random.Random(11)
-    elems = G.element_tuples()
+    elems = [decode(c, (3,))[0] for c in G.elements]
     for _ in range(60):
         x = elems[rng.randrange(len(elems))]
         y = elems[rng.randrange(len(elems))]
-        (a, b, c, d), (e, f, g, h) = x.mats[0], y.mats[0]
-        quad = ((a * e + b * g) % 3, (a * f + b * h) % 3,
-                (c * e + d * g) % 3, (c * f + d * h) % 3)
-        assert MatrixTuple((3,), (quad,)).code() in codes
+        assert MatrixTuple((3,), (mat_mul(x, y, 3),)).code() in codes
 
 
 def test_full_product_orders_and_density():
@@ -180,18 +177,12 @@ def test_serre_ex3_tie_as_a_group():
     assert delta_exact(G) == want == F(153899, 184680)
 
 
-def mul(m, n, l):
-    (a, b, c, d), (e, f, g, h) = m, n
-    return ((a * e + b * g) % l, (a * f + b * h) % l,
-            (c * e + d * g) % l, (c * f + d * h) % l)
-
-
 def power(m, k, l):
     out = ID
     while k:
         if k & 1:
-            out = mul(out, m, l)
-        m, k = mul(m, m, l), k >> 1
+            out = mat_mul(out, m, l)
+        m, k = mat_mul(m, m, l), k >> 1
     return out
 
 
@@ -220,7 +211,7 @@ def test_long_cyclic_walk_matches_the_powers():
     powers, x = [], (ID, ID)
     while True:
         powers.append(MatrixTuple(moduli, x).code())
-        x = tuple(mul(m, g, l) for m, g, l in zip(x, gen, moduli))
+        x = tuple(mat_mul(m, g, l) for m, g, l in zip(x, gen, moduli))
         if x == (ID, ID):
             break
     assert len(powers) == 960 * 1368 // 24
@@ -267,6 +258,42 @@ def test_singer_cycle_closure_takes_seconds():
     assert elapsed < 30
 
 
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+def test_close_projection_against_matrix_products(l, monkeypatch):
+    # Stage 1 on the full group, SL2 (the two transvections), the Borel
+    # subgroup, a cyclic one (a Singer cycle) and no generators, read
+    # back by conftest's decoder and checked by conftest's matrix product.
+    # perfbench counts closure products as _mat_mul calls: one per
+    # element and generator.
+    z = primitive_root(l)
+    groups = [(standard_gl2_generators(l), gl2_order(l)),
+              ([(1, 1, 0, 1), (1, 0, 1, 1)], l * (l * l - 1)),
+              ([(z, 0, 0, 1), (1, 0, 0, z), (1, 1, 0, 1)], (l - 1) ** 2 * l),
+              ([singer(l)], l * l - 1),
+              ([], 1)]
+    calls = []
+
+    def counted(m, n, modulus):
+        calls.append(1)
+        return mat_mul(m, n, modulus)
+
+    monkeypatch.setattr(entangle, "_mat_mul", counted)
+    for gens, order in groups:
+        calls.clear()
+        codes, table = entangle._close_projection(gens, l, order)
+        assert len(codes) == len(set(codes.tolist())) == order
+        assert decode(codes[0], (l,)) == (ID,)
+        assert len(calls) == order * len(gens)
+        assert table.shape == (len(gens), order) and table.dtype == np.intp
+        for g, row in zip(gens, table):
+            for h, hg in zip(codes, codes[row]):
+                assert decode(hg, (l,))[0] == mat_mul(decode(h, (l,))[0], g, l)
+        # breadth-first: positions are numbered in the order first reached
+        flat = table.T.ravel()
+        _, first = np.unique(flat[flat > 0], return_index=True)
+        assert np.all(np.diff(first) > 0)
+
+
 def test_full_product_caps_and_limits():
     with pytest.raises(ClosureCapExceeded):
         full_product_group((2, 3, 5), cap=10**5)
@@ -291,7 +318,7 @@ def test_python_int_fallback_for_wide_moduli():
     assert G.elements.dtype == object
     assert G.order == 2
     assert delta_exact(G) == F(1, 2)
-    assert G.decode(G.identity_code()) == tuple(ID for _ in moduli)
+    assert [decode(c, moduli) for c in G.elements] == [(ID,) * 4, tuple(map(neg_id, moduli))]
 
 
 def test_wide_index_space():
@@ -303,7 +330,7 @@ def test_wide_index_space():
     assert G.order == 2
     assert G.elements.dtype == object
     assert delta_exact(G) == F(1, 2)
-    assert G.decode(G.identity_code()) == (ID,) * 64
+    assert [decode(c, moduli) for c in G.elements] == [(ID,) * 64, tuple(map(neg_id, moduli))]
 
 
 def test_norm_one_construction():
@@ -316,8 +343,8 @@ def test_norm_one_construction():
     assert H.order == 4
     assert delta_exact(H) == 0
     # every non-identity member is trivial in exactly one component
-    for mt in H.element_tuples():
-        trivial = sum(1 for m in mt.mats if m == ID)
+    for c in H.elements:
+        trivial = sum(1 for m in decode(c, moduli) if m == ID)
         assert trivial in (1, 3)
     # subgroup of the ambient group
     ambient_codes = set(int(c) for c in ambient.elements)

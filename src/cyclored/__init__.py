@@ -24,7 +24,6 @@ from .curve import (
     ReducedCurve,
     group_order,
     group_structure,
-    is_cyclic,
     reduce,
 )
 from .density import (
@@ -34,15 +33,12 @@ from .density import (
     Indeterminate,
     Interval,
     MissingDegree,
-    ProfileLeak,
     artin_constant,
     build_density_report,
     c_factor,
     charsum_alpha,
     classify_vanishing,
-    delta_factored,
     delta_partial,
-    entanglement_modulus,
     gl2_order,
     naive_density,
     superfluous_correction,
@@ -65,7 +61,6 @@ from .galois_image import (
     ImageFingerprint,
     InvalidPrime,
     certify_surjective,
-    frobenius_trace,
     two_division_degree,
 )
 from .registry import REGISTRY, CurveSpec, get_curve

@@ -25,8 +25,8 @@ from . import __version__
 from .curve import (
     CurveOverQ,
     ReducedCurve,
-    full_ell_torsion,
     full_torsion_lanes,
+    full_two_torsion,
     group_orders,
     group_structure,
 )
@@ -427,26 +427,31 @@ def run_census(
 
 
 def split_count(curve: CurveOverQ, l: int, x: int) -> int:
-    """Count good primes p <= x whose reduction has full l-torsion.
+    """Count good primes p <= x whose reduction has full l-torsion, l | d.
 
-    Full l-torsion forces l | p - 1, so only the good primes in that
-    progression go to curve.full_ell_torsion, one call per array of the
-    sieve_primes stream; p = l never does.
-
-    For l = 2 that call asks whether the cubic x^3 + ax + b splits over
-    F_p, by x^p == x modulo the cubic; for odd l it samples the l-Sylow
-    subgroup.  The census decides l = 2 by a Legendre symbol of the
-    discriminant where 4 | n, l = 3, 5 by Frobenius on the division
-    polynomials, and l >= 7 by curve.group_structure's exact d.  So for
-    l <= 5 this count and the census's split count are two different
-    computations of l | d.
+    Full l-torsion forces l | p - 1, so only the primes of the
+    sieve_primes stream in that progression are asked; p = l never is.
+    For l = 2 each array of the stream goes to curve.full_two_torsion,
+    which asks whether the cubic x^3 + ax + b splits over F_p by
+    x^p == x modulo it, with no group order: a computation of 2 | d apart
+    from the census's Legendre symbol of the discriminant.  For odd l
+    there is one path, the census's: the progression is regrouped by
+    _chunks and each chunk classified by _obstructions.  An l >= x leaves
+    the progression empty and counts 0.
     """
     if not is_prime(l):
         raise ValueError(f"torsion prime must be a prime: {l}")
-    delta = curve.delta_E
-    return sum(sum(full_ell_torsion(curve.A, curve.B, l,
-                                    [p for p in block.tolist() if p % l == 1 and delta % p]))
-               for block in sieve_primes(x))
+    stream = sieve_primes(x)
+    if l == 2:
+        delta = curve.delta_E
+        return sum(sum(full_two_torsion(curve.A, curve.B,
+                                        [p for p in block.tolist() if p % 2 and delta % p]))
+                   for block in stream)
+    if l >= x:  # no p = 1 mod l up to x; keeps l in int64 for block % l
+        return 0
+    chunks = _chunks(block[block % l == 1] for block in stream)
+    return sum(1 for chunk in chunks for obst in _obstructions(curve, chunk)
+               if obst and l in obst)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 A curve y^2 = x^3 + Ax + B with integer coefficients is reduced modulo an
 odd prime p of good reduction.  The group of points is abelian on at most
 two generators, Z/d x Z/e with d | e and d | p-1; the reduction is called
-cyclic when d = 1.  Everything downstream (the census, the split counts,
-the Frobenius traces) sits on top of `group_orders` and `group_structure`.
+cyclic when d = 1.  Everything downstream (the census and its split
+counts, the Galois image certifier) sits on top of `group_orders` and
+`group_structure`.
 
 `group_orders` counts the points for a list of primes at once: below
 2**10 exhaustively, by quadratic-residue counting, and from 2**10 to
@@ -29,10 +30,9 @@ the exact d: the discriminant or a lane answer settles the exponent of
 l in d unless a deeper level is possible, and the rest is certified by
 sampling: a point whose l-part has full length (cyclic Sylow), or two
 independent points of order l, independence decided by enumerating the
-<= l multiples of one of them.  `full_ell_torsion` asks, a list of
-primes at once, whether E[l] lies in E(F_p): for l = 2 by x^p == x
-modulo the cubic on the same lane kernel, for odd l by the Sylow sampler
-on group_orders' n.
+<= l multiples of one of them.  `full_two_torsion` asks, a list of
+primes at once, whether E[2] lies in E(F_p) by x^p == x modulo the cubic
+on the same lane kernel, with no group order.
 
 Point sampling is deterministic: a splitmix64 stream seeded by a fixed
 mix of (p, a, b) and a tag drives the x-candidates and the y-sign choice
@@ -58,7 +58,7 @@ _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
-_TORSION_SLICE = 1 << 15    # primes per full_ell_torsion pass, about 12 MiB of lanes
+_TORSION_SLICE = 1 << 15    # primes per full_two_torsion pass, about 12 MiB of lanes
 
 
 class BadReduction(Exception):
@@ -805,35 +805,21 @@ def group_structure(C: ReducedCurve, n: int | None = None, stats=None,
     return GroupStructure(n, d, n // d)
 
 
-def full_ell_torsion(A: int, B: int, l: int, primes) -> list[bool]:
-    """Per prime, whether all l^2 points of order dividing l on
-    y^2 = x^3 + Ax + B are rational over F_p, that is l | d.  primes are of
-    good reduction and below 2**32, and p = l raises ValueError.
-
-    For l = 2 that is the cubic splitting over F_p, x^p == x modulo it,
-    asked of _lane_x_power_is_x with no group order.  For odd l a true
-    answer forces l | p - 1 and l^2 | n, so group_orders runs only on the
-    primes with l | p - 1, and the l-Sylow subgroup is sampled only where
-    l^2 | n.  Slices of _TORSION_SLICE primes bound the lane arrays.
+def full_two_torsion(A: int, B: int, primes) -> list[bool]:
+    """Per prime, whether all four points of order dividing 2 on
+    y^2 = x^3 + Ax + B are rational over F_p, that is 2 | d: whether the
+    cubic splits over F_p, x^p == x modulo it, asked of _lane_x_power_is_x
+    with no group order.  primes are of good reduction and below 2**32,
+    and p = 2 raises ValueError.  Slices of _TORSION_SLICE primes bound
+    the lane arrays.
     """
     if len(primes) > _TORSION_SLICE:
         return [ok for k in range(0, len(primes), _TORSION_SLICE)
-                for ok in full_ell_torsion(A, B, l, primes[k : k + _TORSION_SLICE])]
-    if any(p % l == 0 or p >= _LANE_LIMIT for p in primes):
-        raise ValueError(f"primes must be below 2**32 and differ from l={l}")
-    if l == 2 and primes:
-        q = np.array(primes, dtype=np.uint64)
-        low = np.stack([_lane_residues(B, q), _lane_residues(A, q), np.zeros_like(q)])
-        return _lane_x_power_is_x(low, q).tolist()
-    out = [False] * len(primes)
-    index = [i for i, p in enumerate(primes) if p % l == 1]
-    for i, n in zip(index, group_orders(A, B, [primes[i] for i in index])):
-        p, v = primes[i], _valuation(n, l)
-        if v >= 2:
-            out[i] = _sylow_first_invariant(p, A % p, B % p, n, l, v) >= 1
-    return out
-
-
-def is_cyclic(C: ReducedCurve) -> bool:
-    """True when the point group is cyclic (first invariant factor 1)."""
-    return group_structure(C).d == 1
+                for ok in full_two_torsion(A, B, primes[k : k + _TORSION_SLICE])]
+    if any(p % 2 == 0 or p >= _LANE_LIMIT for p in primes):
+        raise ValueError("primes must be odd and below 2**32")
+    if not primes:
+        return []
+    q = np.array(primes, dtype=np.uint64)
+    low = np.stack([_lane_residues(B, q), _lane_residues(A, q), np.zeros_like(q)])
+    return _lane_x_power_is_x(low, q).tolist()

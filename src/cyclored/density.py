@@ -32,10 +32,6 @@ class MissingDegree(Exception):
     annotations and no explicit override was supplied."""
 
 
-class ProfileLeak(Exception):
-    """A profile-annotated prime falls outside the factorization modulus."""
-
-
 class Indeterminate(Exception):
     """Interval straddles zero where the classification needs a sign."""
 
@@ -268,26 +264,6 @@ def delta_partial(n: int, profile: DegreeProfile) -> Fraction:
     return total
 
 
-def delta_factored(
-    N: int, deltaN: Fraction, profile: DegreeProfile, L: int = 10**5
-) -> Interval:
-    """Enclosure of deltaN times the maximal Euler product over primes
-    not dividing N: A_inf divided by the maximal factors at the primes
-    of N, an exact rational.  Sound only when every annotated prime
-    divides N; a leak raises ProfileLeak instead of silently
-    double-counting."""
-    if N < 1 or any(e > 1 for _, e in factorize(N)):
-        raise ValueError("modulus must be a positive squarefree integer")
-    for l in sorted(profile.annotated_primes()):
-        if N % l != 0:
-            raise ProfileLeak(f"annotated prime {l} does not divide {N}")
-    deltaN = Fraction(deltaN)
-    if deltaN < 0:
-        raise ValueError("density at the modulus cannot be negative")
-    maximal_at_N = prod(1 - Fraction(1, gl2_order(q)) for q, _ in factorize(N))
-    return artin_constant(L).scale(deltaN / maximal_at_N)
-
-
 def charsum_alpha(degrees: dict[int, int]) -> Fraction:
     """Exact correction 1 + prod(-1/(deg - 1)) for an index-2 quadratic
     character entanglement across the given prime degrees."""
@@ -322,22 +298,6 @@ def c_factor(profile: DegreeProfile, alpha: Fraction) -> Fraction:
         g = gl2_order(l)
         c *= Fraction((d - 1) * g, d * (g - 1))
     return c
-
-
-def entanglement_modulus(curve, nonmaximal=frozenset(), disc_K: int = 1) -> int:
-    """Squarefree product of every prime that can entangle division
-    fields: 2, 3, 5, primes of the base-field discriminant, primes of
-    bad reduction, and primes with nonmaximal mod-l image."""
-    if disc_K == 0:
-        raise ValueError("field discriminant cannot be zero")
-    primes = {2, 3, 5}
-    primes.update(q for q, _ in factorize(abs(curve.delta_E)))
-    primes.update(q for q, _ in factorize(abs(disc_K)))
-    primes.update(nonmaximal)
-    for l in primes:
-        if not is_prime(l):
-            raise ValueError(f"nonmaximal entry {l} is not prime")
-    return prod(sorted(primes))
 
 
 def classify_vanishing(

@@ -13,7 +13,7 @@ from itertools import islice
 from math import isqrt
 
 from .census import CHUNK_SIZE
-from .curve import CurveOverQ, group_order, group_orders, reduce
+from .curve import CurveOverQ, group_orders
 from .modmath import is_prime, legendre, sieve_primes
 
 DEFAULT_SAMPLE_BOUND = 10**4
@@ -32,14 +32,6 @@ class ImageFingerprint:
     w3: bool  # some trace ratio outside the exceptional-image values
     trace_det_pairs: frozenset[tuple[int, int]]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "samples": self.samples,
-            "witnesses": {"W1": self.w1, "W2": self.w2, "W3": self.w3},
-            "trace_det_pairs": sorted(self.trace_det_pairs),
-        }
-
 
 @dataclass(frozen=True)
 class CertificationResult:
@@ -50,14 +42,6 @@ class CertificationResult:
     # something this package proves; consumers must treat a positive
     # answer as heuristic evidence, so the flag ships in every result.
     heuristic: bool = True
-
-    def to_json_dict(self) -> dict:
-        return {
-            "l": self.l,
-            "certified": self.certified,
-            "heuristic": self.heuristic,
-            "fingerprint": self.fingerprint.to_json_dict(),
-        }
 
 
 def _integer_roots(A: int, B: int) -> set[int]:
@@ -106,17 +90,6 @@ def two_division_degree(curve: CurveOverQ) -> int:
     if disc > 0 and isqrt(disc) ** 2 == disc:
         return 3
     return 6
-
-
-def frobenius_trace(curve: CurveOverQ, p: int) -> int:
-    """a_p = p + 1 - #E(F_p) for a prime of good reduction."""
-    if not is_prime(p):
-        raise ValueError(f"not a prime: {p}")
-    N = group_order(reduce(curve, p))
-    a = p + 1 - N
-    if a * a > 4 * p:
-        raise AssertionError(f"trace {a} at {p} violates the Hasse bound")
-    return a
 
 
 def _group_orders_in_batches(curve: CurveOverQ, bound: int, l: int):

@@ -6,17 +6,21 @@ one-prime baby-step giant-step in Python on this module's group law,
 group invariants come from the order statistics of every single point or
 from counts of torsion points, truncated Euler products are exact
 Fractions, and packed matrix-tuple codes are read back digit by digit.
+delta_factored reassembles a density from artin_constant and a rational
+part that comes from delta_partial's Moebius sum, not from c_factor, as
+build_density_report's does.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
-from cyclored.modmath import is_prime
+from cyclored.density import Interval, artin_constant, gl2_order
+from cyclored.modmath import factorize, is_prime
 
 FIVE_CURVES = [
     (-3, 1),
@@ -299,3 +303,25 @@ def exact_euler_interval(L: int, degree_of, skip=None) -> tuple[Fraction, Fracti
     if P is None:
         return Fraction(0), Fraction(0)
     return P * (1 - Fraction(1, L**3)), P
+
+
+class ProfileLeak(Exception):
+    """A profile-annotated prime falls outside the factorization modulus."""
+
+
+def delta_factored(N: int, deltaN: Fraction, profile, L: int = 10**5) -> Interval:
+    """Enclosure of deltaN times the maximal Euler product over primes
+    not dividing N: A_inf divided by the maximal factors at the primes
+    of N, an exact rational.  Sound only when every annotated prime
+    divides N; a leak raises ProfileLeak instead of silently
+    double-counting."""
+    if N < 1 or any(e > 1 for _, e in factorize(N)):
+        raise ValueError("modulus must be a positive squarefree integer")
+    for l in sorted(profile.annotated_primes()):
+        if N % l != 0:
+            raise ProfileLeak(f"annotated prime {l} does not divide {N}")
+    deltaN = Fraction(deltaN)
+    if deltaN < 0:
+        raise ValueError("density at the modulus cannot be negative")
+    maximal_at_N = prod(1 - Fraction(1, gl2_order(q)) for q, _ in factorize(N))
+    return artin_constant(L).scale(deltaN / maximal_at_N)

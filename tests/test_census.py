@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from conftest import brute_structure, prime_list, torsion_bands
+from conftest import FIVE_CURVES, brute_first_invariant, brute_structure, prime_list, torsion_bands
 import cyclored
 from cyclored import census
 from cyclored.census import (
@@ -466,13 +466,30 @@ def test_big_coefficient_curves_on_the_stream(tmp_path, E, want):
 
 
 def test_split_count():
+    # l = 2 by the cubic against the census's discriminant; a prime l at
+    # or above x has no p = 1 mod l to count, even one past int64
     assert split_count(E1, 2, 3000) == 142
-    r = run_census(E1, 5000)
-    for l in (2, 3, 5, 7):
-        assert split_count(E1, l, 5000) == r.split_counts[l], l
+    assert split_count(E1, 2, 5000) == run_census(E1, 5000).split_counts[2]
+    for l in (2**61 - 1, 2**64 + 13):
+        assert split_count(E1, l, 3000) == 0, l
     for l in (1, 4):
         with pytest.raises(ValueError):
             split_count(E1, l, 3000)
+
+
+def test_split_count_matches_torsion_count():
+    # every good prime below 2000 of serre-ex1, serre-ex3 and serre-ex2
+    # against a count of torsion points; serre-ex2 has full 7-torsion at
+    # p = 1667
+    found = Counter()
+    for A, B in (FIVE_CURVES[0], FIVE_CURVES[2], FIVE_CURVES[1]):
+        E = CurveOverQ(A, B)
+        d = [brute_first_invariant(p, A % p, B % p) for p in prime_list(2000) if E.delta_E % p]
+        for l in (2, 3, 5, 7):
+            count = split_count(E, l, 2000)
+            assert count == sum(v % l == 0 for v in d), (A, B, l)
+            found[l] += count
+    assert all(found[l] for l in (2, 3, 5, 7)), found
 
 
 def test_inclusion_exclusion_frozen():

@@ -32,10 +32,9 @@ from cyclored.curve import (
     group_order,
     group_orders,
     group_structure,
-    is_cyclic,
     reduce,
 )
-from cyclored.curve import _order_exhaustive, full_ell_torsion, full_torsion_lanes
+from cyclored.curve import _order_exhaustive, full_torsion_lanes, full_two_torsion
 from cyclored.modmath import factorize, is_prime, legendre
 
 
@@ -132,8 +131,11 @@ def test_group_order_small_matches_enumeration():
 
 def test_group_order_bsgs_matches_exhaustive():
     # above the exhaustive cutoff group_order is the lanes on one prime,
-    # and group_orders takes the same primes at once
+    # and group_orders takes the same primes at once; y^2 = x^3 - x is
+    # supersingular at p = 3 mod 4, with n = p + 1 on both sides of 2^10
     primes = [p for p in prime_list(1450) if p > 1024]
+    ss = [p for p in prime_list(1450) if p % 4 == 3]
+    assert group_orders(-1, 0, ss) == [p + 1 for p in ss]
     for A, B in ((-3, 1), (2, 3)):
         E = CurveOverQ(A, B)
         good = [p for p in primes if E.delta_E % p]
@@ -542,7 +544,7 @@ def test_division_polynomial_roots_are_torsion_x():
 
 
 def test_cubic_splitting_matches_root_count():
-    # full_ell_torsion(a, b, 2, [p]) against a count of the cubic's roots
+    # full_two_torsion(a, b, [p]) against a count of the cubic's roots
     rng = random.Random(29)
     primes = prime_list(5000)[2:]
     for _ in range(300):
@@ -551,23 +553,7 @@ def test_cubic_splitting_matches_root_count():
         if (4 * a**3 + 27 * b * b) % p == 0:
             continue
         roots = sum((x * x * x + a * x + b) % p == 0 for x in range(p))
-        assert full_ell_torsion(a, b, 2, [p]) == [roots == 3], (p, a, b)
-
-
-def test_full_ell_torsion_matches_torsion_count():
-    # every good prime below 2000 of serre-ex1 and serre-ex3 against a
-    # count of torsion points; no such prime has full 7-torsion
-    found = Counter()
-    for A, B in (FIVE_CURVES[0], FIVE_CURVES[2]):
-        delta = CurveOverQ(A, B).delta_E
-        d = {p: brute_first_invariant(p, A % p, B % p)
-             for p in prime_list(2000) if delta % p}
-        for l in (2, 3, 5, 7):
-            primes = [p for p in d if p != l]
-            for p, full in zip(primes, full_ell_torsion(A, B, l, primes)):
-                assert full == (d[p] % l == 0), (A, B, p, l)
-                found[l] += full
-    assert found[2] and found[3] and found[5] and not found[7], found
+        assert full_two_torsion(a, b, [p]) == [roots == 3], (p, a, b)
 
 
 def test_group_order_hasse_bound():
@@ -662,16 +648,11 @@ def test_structure_invariants_random_curves():
 def test_full_torsion_and_cyclicity():
     E = CurveOverQ(-3, 1)
     good = [p for p in prime_list(150) if E.delta_E % p]
-    structures = {p: group_structure(reduce(E, p)) for p in good}
-    for p, st in structures.items():
-        assert is_cyclic(reduce(E, p)) == (st.d == 1)
-    for l in (2, 3, 5):
-        primes = [p for p in good if p != l]
-        for p, full in zip(primes, full_ell_torsion(E.A, E.B, l, primes)):
-            assert full == (structures[p].d % l == 0), (p, l)
-        for bad in ([l], [7, l], [7, 2**32 + 15]):  # p = l, p above 2**32
-            with pytest.raises(ValueError):
-                full_ell_torsion(E.A, E.B, l, bad)
+    for p, full in zip(good, full_two_torsion(E.A, E.B, good)):
+        assert full == (group_structure(reduce(E, p)).d % 2 == 0), p
+    for bad in ([2], [7, 2], [7, 2**32 + 15]):  # p = 2, p above 2**32
+        with pytest.raises(ValueError):
+            full_two_torsion(E.A, E.B, bad)
 
 
 def test_structure_dataclass():

@@ -9,24 +9,20 @@ import numpy as np
 import pytest
 
 import cyclored
-from conftest import exact_euler_interval, prime_list
+from conftest import ProfileLeak, delta_factored, exact_euler_interval, prime_list
 from cyclored import density
-from cyclored.curve import CurveOverQ
 from cyclored.density import (
     DegreeOne,
     DegreeProfile,
     Indeterminate,
     Interval,
     MissingDegree,
-    ProfileLeak,
     artin_constant,
     build_density_report,
     c_factor,
     charsum_alpha,
     classify_vanishing,
-    delta_factored,
     delta_partial,
-    entanglement_modulus,
     gl2_order,
     naive_density,
     superfluous_correction,
@@ -387,17 +383,6 @@ def test_c_factor():
     assert c_factor(DegreeProfile(), F(7, 3)) == F(7, 3)
 
 
-def test_entanglement_modulus():
-    assert entanglement_modulus(CurveOverQ(-3, 1)) == 30
-    assert entanglement_modulus(CurveOverQ(2, 3)) == 330
-    assert entanglement_modulus(CurveOverQ(1, 3), nonmaximal={13, 19}) == 7410
-    assert entanglement_modulus(CurveOverQ(-3, 1), disc_K=-7) == 210
-    with pytest.raises(ValueError):
-        entanglement_modulus(CurveOverQ(-3, 1), nonmaximal={4})
-    with pytest.raises(ValueError):
-        entanglement_modulus(CurveOverQ(-3, 1), disc_K=0)
-
-
 def test_classify_vanishing():
     pos = Interval(F(1, 2), F(2, 3))
     prof = DegreeProfile(degrees={2: 3})
@@ -461,6 +446,23 @@ def test_build_density_report_matches_reference_product():
             lo, hi = exact_euler_interval(_covering_truncation(prof, L), prof.degree)
             assert_rescaled_enclosure(rep.naive, c1, L, (lo, hi))
             assert_rescaled_enclosure(rep.delta, rep.c, L, (rep.alpha * lo, rep.alpha * hi))
+
+
+def test_build_density_report_matches_delta_factored():
+    # delta from c_factor against delta reassembled from delta_partial's
+    # Moebius sum over the divisors of N: the same interval, exactly
+    checked = skipped = 0
+    for prof in _profiles():
+        N = math.prod({2, 3, 5} | prof.annotated_primes())
+        try:
+            dN = delta_partial(N, prof)
+        except MissingDegree:
+            skipped += 1
+            continue
+        for L in (10**3, 10**4):
+            assert build_density_report(prof, L).delta == delta_factored(N, dN, prof, L), prof
+            checked += 1
+    assert (checked, skipped) == (62, 14)
 
 
 def test_build_density_report_provenance():

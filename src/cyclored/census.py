@@ -4,6 +4,8 @@ For every prime p up to a bound the reduced point group is classified as
 cyclic or not, with bad primes tracked separately.  Work proceeds in fixed
 chunks of primes so long runs can checkpoint to a line-delimited JSON file
 and resume later, even when the resumed run asks for a different bound.
+The unit of computation is the batch: up to _BATCH_CHUNKS consecutive
+chunks to compute, classified together and cut back into chunk records.
 """
 
 from __future__ import annotations
@@ -30,17 +32,19 @@ from .curve import (
     group_orders,
     group_structure,
 )
-from .modmath import factorize, is_prime, moebius, sieve_primes
+from .modmath import SIEVE_LIMIT, factorize, is_prime, moebius, sieve_primes
 from .utils import truncate_decimal
 
 CHUNK_SIZE = 4096
+_BATCH_CHUNKS = 8  # consecutive chunks to compute that share one _obstructions call
 SPLIT_PRIMES = (2, 3, 5, 7)  # the primes l whose counts of l | d a report carries
 _CHECKPOINT_VERSION = 1
 # curve.group_orders', curve.full_torsion_lanes', _obstructions' and
-# curve.group_structure's counters that CensusReport.extra carries
-_RUN_COUNTS = ("orders_batched", "orders_exhaustive", "lane_points", "lane_passes",
-               "lanes_twisted", "two_by_discriminant", "frobenius_lanes", "structure_exact",
-               "sylow_sampled")
+# curve.group_structure's counters, summed over the batches, and the number
+# of batches (chunk_batches) that CensusReport.extra carries
+_RUN_COUNTS = ("chunk_batches", "orders_batched", "orders_exhaustive", "lane_points",
+               "lane_passes", "lanes_twisted", "two_by_discriminant", "frobenius_lanes",
+               "structure_exact", "sylow_sampled")
 # how a report's counts were made, recorded in its JSON
 _METHOD = ("group orders by baby-step giant-step in numpy lanes on the curve and its "
            "quadratic twist, exhaustive below 2**10; l | d for l = 2 from the cubic's "
@@ -121,7 +125,8 @@ class CensusReport:
 def _obstructions(curve: CurveOverQ, primes, stats=None) -> list[tuple[int, ...] | None]:
     """Per prime, the primes l dividing the first invariant factor d of the
     reduced point group, that is those with E[l] in E(F_p), or None at a
-    prime of bad reduction.
+    prime of bad reduction.  primes, an int64 array or a list, lie below
+    2**32, as the sieve's do.
 
     One curve.group_orders call gives the group orders n of the good
     primes, and one curve.full_torsion_lanes call decides l | d for
@@ -132,24 +137,26 @@ def _obstructions(curve: CurveOverQ, primes, stats=None) -> list[tuple[int, ...]
     functions and the number of primes sent to group_structure
     (structure_exact)."""
     A, B, delta = curve.A, curve.B, curve.delta_E
-    good = [p for p in primes if delta % p]
-    orders = group_orders(A, B, good, stats)
+    primes = np.asarray(primes, dtype=np.int64)
+    keep = [delta % p != 0 for p in primes.tolist()]
+    good = primes[np.array(keep, dtype=bool)]
+    orders = np.array(group_orders(A, B, good, stats), dtype=np.int64)
     full = full_torsion_lanes(A, B, good, orders, stats)
-    g = np.gcd(np.array(orders, dtype=np.int64), np.array(good, dtype=np.int64) - 1)
+    g = np.gcd(orders, good - 1)
     for power in (2**32, 3**21, 5**14):  # above any power of 2, 3 or 5 dividing g
         g //= np.gcd(g, power)
     support = full[2] | full[3] << 1 | full[5] << 2
     obst = [_SUPPORTS[k] for k in support.tolist()]
     exact = np.flatnonzero(g > 1).tolist()
     for i in exact:
-        p, n = good[i], orders[i]
+        p, n = int(good[i]), int(orders[i])
         d = group_structure(ReducedCurve(p, A % p, B % p), n, stats,
                             {3: bool(full[3][i]), 5: bool(full[5][i])}).d
         obst[i] = tuple(q for q, _ in factorize(d))
     if stats is not None:
         stats["structure_exact"] += len(exact)
     known = iter(obst)
-    return [next(known) if delta % p else None for p in primes]
+    return [next(known) if k else None for k in keep]
 
 
 def _classify(p: int, obst: tuple[int, ...] | None) -> tuple[int, str, tuple[int, ...]]:
@@ -161,7 +168,8 @@ def _classify(p: int, obst: tuple[int, ...] | None) -> tuple[int, str, tuple[int
 
 def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     """Classify one prime: bad reduction, cyclic group, or non-cyclic group,
-    by the census's own path (_obstructions on the one prime).
+    a prime of good reduction by the census's own path (_obstructions on
+    the one prime).
 
     For non-cyclic groups the obstruction primes are the prime divisors of
     the first group invariant d (the primes with full torsion at p).  A
@@ -171,35 +179,45 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     """
     if not is_prime(p):
         raise ValueError(f"not a prime: {p}")
+    if curve.delta_E % p == 0:
+        return PrimeClassification(p, "bad_reduction")
+    if p >= SIEVE_LIMIT:
+        raise ValueError(f"group orders need primes below 2**32, not {p}")
     return PrimeClassification(*_classify(p, _obstructions(curve, [p])[0]))
 
 
-def _classify_chunk(args):
-    """Worker body: classify one chunk of primes for a curve.
+def _classify_batch(args):
+    """Worker body: classify a batch of consecutive chunks of primes for a
+    curve by one _obstructions call on all their primes.
 
-    Module-level so multiprocessing can pickle it.  Returns the chunk
-    record, per-prime rows when requested, and the chunk's counts from
-    _obstructions, which stay out of the record: resume compares
-    records for equality.
+    Module-level so multiprocessing can pickle it.  Returns per chunk its
+    record and its per-prime rows when requested, and the batch's counts
+    from _obstructions with chunk_batches = 1, which stay out of the
+    records: resume compares records for equality.
     """
-    curve, primes, want_rows = args
-    counts = Counter()
-    obst = _obstructions(curve, primes, counts)
-    tally = Counter(obst)  # None for a bad prime, () for a cyclic one
-    bad = [p for p, o in zip(primes, obst) if o is None]
-    record = {
-        "kind": "chunk",
-        "first": primes[0],
-        "last": primes[-1],
-        "count": len(primes),
-        "good": len(primes) - len(bad),
-        "cyclic": tally[()],
-        "bad": bad,
-        "split": {str(l): sum(k for o, k in tally.items() if o and l in o)
-                  for l in SPLIT_PRIMES},
-    }
-    rows = list(map(_classify, primes, obst)) if want_rows else None
-    return record, rows, counts
+    curve, chunks, want_rows = args
+    counts = Counter(chunk_batches=1)
+    obst_all = _obstructions(curve, np.concatenate(chunks), counts)
+    out = []
+    end = 0
+    for primes in map(np.ndarray.tolist, chunks):
+        obst = obst_all[end : end + len(primes)]
+        end += len(primes)
+        tally = Counter(obst)  # None for a bad prime, () for a cyclic one
+        bad = [p for p, o in zip(primes, obst) if o is None]
+        record = {
+            "kind": "chunk",
+            "first": primes[0],
+            "last": primes[-1],
+            "count": len(primes),
+            "good": len(primes) - len(bad),
+            "cyclic": tally[()],
+            "bad": bad,
+            "split": {str(l): sum(k for o, k in tally.items() if o and l in o)
+                      for l in SPLIT_PRIMES},
+        }
+        out.append((record, list(map(_classify, primes, obst)) if want_rows else None))
+    return out, counts
 
 
 def _load_checkpoint(path: str, a: int, b: int) -> dict:
@@ -264,54 +282,87 @@ def _ignore_sigint():
 
 
 def _chunks(stream):
-    """The primes of a sieve_primes stream regrouped into lists of
-    CHUNK_SIZE Python ints, the last possibly shorter."""
+    """The primes of a sieve_primes stream regrouped into int64 arrays of
+    CHUNK_SIZE primes, the last possibly shorter."""
     rest = np.empty(0, dtype=np.int64)
     for block in stream:
         block = np.concatenate((rest, block))
         cut = len(block) - len(block) % CHUNK_SIZE
         for k in range(0, cut, CHUNK_SIZE):
-            yield block[k : k + CHUNK_SIZE].tolist()
+            yield block[k : k + CHUNK_SIZE]
         rest = block[cut:]
     if len(rest):
-        yield rest.tolist()
+        yield rest
+
+
+def _key(chunk) -> tuple[int, int, int]:
+    """A chunk's checkpoint key: its first and last prime and its length."""
+    return int(chunk[0]), int(chunk[-1]), len(chunk)
+
+
+def _batches(chunks, reuse=lambda chunk: False):
+    """The chunks, in order, grouped into (list of chunks, computed):
+    each run of up to _BATCH_CHUNKS consecutive chunks to compute is one
+    list, and a chunk that `reuse` takes ends the run and is a list of its
+    own.  So the batches depend on the chunks and on which are reused,
+    nothing else."""
+    run = []
+    for chunk in chunks:
+        if reuse(chunk):
+            if run:
+                yield run, True
+                run = []
+            yield [chunk], False
+            continue
+        run.append(chunk)
+        if len(run) == _BATCH_CHUNKS:
+            yield run, True
+            run = []
+    if run:
+        yield run, True
+
+
+def _classified(curve, chunks):
+    """_obstructions of the chunks' primes, in order, one call per batch,
+    as the census batches chunks when it reuses none."""
+    for batch, _ in _batches(chunks):
+        yield from _obstructions(curve, np.concatenate(batch))
 
 
 def _chunk_results(curve, chunks, saved, want_rows, workers, stack):
-    """Per chunk, in order: (its key, its saved record or None, its
-    _classify_chunk result or None).
+    """Per batch of _batches, in order: its chunks' keys and saved records
+    (None where there is none), and its _classify_batch result, or None
+    for a reused chunk.
 
     The chunks are walked once.  Those with rows wanted or no saved
-    record go lazily to _classify_chunk: in this process, or, once a
-    second one turns up and workers > 1, on a pool of `workers` entered
-    on `stack`, with up to 2 * workers of them in flight ahead of the
-    chunk yielded."""
-    feed = queue.SimpleQueue()  # chunks to compute, in order; None ends it
-    results = map(_classify_chunk, iter(feed.get, None))
+    record are batched and the batches go lazily to _classify_batch: in
+    this process, or, once a second batch turns up and workers > 1, on a
+    pool of `workers` entered on `stack`, with up to 2 * workers batches
+    in flight ahead of the one yielded."""
+    feed = queue.SimpleQueue()  # batches to compute, in order; None ends it
+    results = map(_classify_batch, iter(feed.get, None))
     window = 0 if workers == 1 else 2 * workers
     pending = deque()
     queued = in_flight = 0
-    for chunk in chunks:
-        key = (chunk[0], chunk[-1], len(chunk))
-        rec = saved.get(key)
-        work = want_rows or rec is None
+    for batch, work in _batches(chunks,
+                                lambda chunk: not want_rows and _key(chunk) in saved):
         if work:
-            feed.put((curve, chunk, want_rows))
+            feed.put((curve, batch, want_rows))
             queued += 1
             if queued == 2 and workers > 1:
                 pool = stack.enter_context(
                     multiprocessing.Pool(workers, initializer=_ignore_sigint))
                 # ends the pool's reader of the feed, which the pool's exit joins
                 stack.callback(feed.put, None)
-                results = pool.imap(_classify_chunk, iter(feed.get, None))
-        pending.append((key, rec, work))
+                results = pool.imap(_classify_batch, iter(feed.get, None))
+        pending.append(([(key, saved.get(key)) for key in map(_key, batch)], work))
         in_flight += work
-        while pending and (not pending[0][2] or in_flight > window):
-            key, rec, work = pending.popleft()
+        while pending and (not pending[0][1] or in_flight > window):
+            entries, work = pending.popleft()
             in_flight -= work
-            yield key, rec, next(results) if work else None
-    for key, rec, work in pending:
-        yield key, rec, next(results) if work else None
+            yield entries, next(results) if work else None
+    for entries, work in pending:
+        yield entries, next(results) if work else None
 
 
 def run_census(
@@ -327,14 +378,16 @@ def run_census(
     """Classify every prime p <= x and aggregate the counts.
 
     One pass walks the sieve_primes stream in chunks of CHUNK_SIZE
-    primes, in order.  Each chunk takes its saved record or its computed
-    one (from a worker pool when workers > 1 and more than one chunk is
-    computed), then appends and flushes the record, writes its CSV rows
-    and adds its totals.  Memory does not grow with x beyond the bad
-    primes and the checkpoint's records.
+    primes, in order.  Each run of up to _BATCH_CHUNKS consecutive chunks
+    to compute is classified as one batch (from a worker pool when
+    workers > 1 and more than one batch is computed) and cut back into
+    chunk records.  Each chunk takes its saved record or its computed one,
+    then appends and flushes the record, writes its CSV rows and adds its
+    totals.  Memory does not grow with x beyond the bad primes and the
+    checkpoint's records.
 
     Checkpointing: with `checkpoint` set, records are appended as each
-    chunk finishes, in chunk order, so an interrupted run keeps them, and
+    batch finishes, in chunk order, so an interrupted run keeps them, and
     reused on the next call, even if that call asks for a different x
     (chunks are keyed by their prime range, which does not depend on the
     bound).  A malformed file, or a recomputed chunk that disagrees with
@@ -378,34 +431,36 @@ def run_census(
             fr_writer = csv.writer(stack.enter_context(open(fraction_csv, "w", newline="")))
             fr_writer.writerow(["p", "primes_seen", "cyclic_seen", "running_fraction"])
 
-        for key, rec, result in _chunk_results(curve, _chunks(stream), saved, want_rows,
-                                               workers, stack):
-            chunks += 1
-            rows = None
-            if result is not None:
-                new, rows, chunk_counts = result
-                if rec is not None and rec != new:
-                    raise CheckpointCorrupt(f"recomputed chunk {key} disagrees with checkpoint")
-                if rec is None and ck_fh is not None:
-                    ck_fh.write(json.dumps(new, sort_keys=True) + "\n")
-                    ck_fh.flush()
-                rec = new
-                computed += 1
-                counts.update(chunk_counts)
-            bad_all.extend(rec["bad"])
-            for l in SPLIT_PRIMES:
-                split_totals[l] += rec["split"][str(l)]
-            if rows is None:
-                seen += rec["count"]
-                cyclic += rec["cyclic"]
-                continue
-            for p, status, obst in rows:
-                seen += 1
-                cyclic += status == "cyclic"
-                if pp_writer is not None:
-                    pp_writer.writerow([p, status, ";".join(map(str, obst))])
-                if fr_writer is not None:
-                    fr_writer.writerow([p, seen, cyclic, f"{cyclic / seen:.6f}"])
+        for entries, result in _chunk_results(curve, _chunks(stream), saved, want_rows,
+                                              workers, stack):
+            # a reused chunk comes alone, with nothing computed
+            outs, batch_counts = result or ([(None, None)], {})
+            counts.update(batch_counts)
+            for (key, rec), (new, rows) in zip(entries, outs):
+                chunks += 1
+                if new is not None:
+                    if rec is not None and rec != new:
+                        raise CheckpointCorrupt(
+                            f"recomputed chunk {key} disagrees with checkpoint")
+                    if rec is None and ck_fh is not None:
+                        ck_fh.write(json.dumps(new, sort_keys=True) + "\n")
+                        ck_fh.flush()
+                    rec = new
+                    computed += 1
+                bad_all.extend(rec["bad"])
+                for l in SPLIT_PRIMES:
+                    split_totals[l] += rec["split"][str(l)]
+                if rows is None:
+                    seen += rec["count"]
+                    cyclic += rec["cyclic"]
+                    continue
+                for p, status, obst in rows:
+                    seen += 1
+                    cyclic += status == "cyclic"
+                    if pp_writer is not None:
+                        pp_writer.writerow([p, status, ";".join(map(str, obst))])
+                    if fr_writer is not None:
+                        fr_writer.writerow([p, seen, cyclic, f"{cyclic / seen:.6f}"])
 
     elapsed = time.monotonic() - start
     return CensusReport(
@@ -436,8 +491,8 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     x^p == x modulo it, with no group order: a computation of 2 | d apart
     from the census's Legendre symbol of the discriminant.  For odd l
     there is one path, the census's: the progression is regrouped by
-    _chunks and each chunk classified by _obstructions.  An l >= x leaves
-    the progression empty and counts 0.
+    _chunks and classified by _obstructions in the census's batches of
+    chunks.  An l >= x leaves the progression empty and counts 0.
     """
     if not is_prime(l):
         raise ValueError(f"torsion prime must be a prime: {l}")
@@ -450,8 +505,7 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     if l >= x:  # no p = 1 mod l up to x; keeps l in int64 for block % l
         return 0
     chunks = _chunks(block[block % l == 1] for block in stream)
-    return sum(1 for chunk in chunks for obst in _obstructions(curve, chunk)
-               if obst and l in obst)
+    return sum(1 for obst in _classified(curve, chunks) if obst and l in obst)
 
 
 @dataclass(frozen=True)
@@ -477,7 +531,7 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     per-prime torsion sets, so equality checks the moebius values and the
     squarefree-divisor bookkeeping, not the classification.  The
     statistic is terms, those full m-torsion counts, taken from the
-    census's classification of each chunk of primes.
+    census's classification of the primes, batch by batch.
     """
     if n < 1:
         raise ValueError("modulus must be at least 1")
@@ -488,7 +542,7 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     for q in ell:
         sq_divs.extend(m * q for m in list(sq_divs))
     full_counts = {m: 0 for m in sq_divs}
-    for obst in (o for chunk in _chunks(sieve_primes(x)) for o in _obstructions(curve, chunk)):
+    for obst in _classified(curve, _chunks(sieve_primes(x))):
         if obst is None:
             continue
         torsion = {q for q in ell if q in obst}

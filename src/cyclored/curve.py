@@ -22,7 +22,7 @@ as c is a square or not, and maps a twist's order n back to 2p + 2 - n.
 `group_order` is the same on one prime.
 
 Structure determination never touches pairings.  `full_torsion_lanes`
-asks, a chunk of primes at once in uint64 lanes, whether E[l] lies in
+asks, a batch of primes at once in uint64 lanes, whether E[l] lies in
 E(F_p), that is l | d: for l = 2 by a Legendre symbol of the cubic's
 discriminant where 4 | n, for l = 3 and 5 by Schoof's test x^p == x
 modulo the division polynomial psi_3 or psi_5.  `group_structure` gives
@@ -58,6 +58,7 @@ _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
+_FOLD_ENTRIES = 3 * _BABY_ENTRIES  # fold residues per psi lane slice, about 1.2 MiB
 _TORSION_SLICE = 1 << 15    # primes per full_two_torsion pass, about 12 MiB of lanes
 
 
@@ -461,14 +462,11 @@ def _lane_orders(ps, As, xs, ys, shifted=False):
     return orders, gaps
 
 
-def _lane_pass(p, a, b, s, stats, shifted=False):
-    """One lane scan of the primes p with coefficient residues a and b:
-    each lane draws its next point from its tag-1 stream state in s,
-    which advances in place, and shifted goes to _lane_orders.  Returns
-    per lane the settled order, mapped back from the twist (0 while the
-    lane is open), ord(P) where the window held several multiples of it
-    (else 0), and whether P lay on the twist; stats receives lane_points
-    and lanes_twisted."""
+def _next_points(p, a, b, s):
+    """Each lane's next point, drawn from its tag-1 stream state in s,
+    which advances in place: for c = x0^3 + a x0 + b, the coefficient
+    a c^2 of E_c and the point (x0 c, c^2) on it, and whether c is a
+    non-square, so that E_c is the twist."""
     x = np.zeros_like(p)
     redo = np.ones(len(p), dtype=bool)
     while redo.any():  # x0^3 + a x0 + b has at most three roots
@@ -477,14 +475,26 @@ def _lane_pass(p, a, b, s, stats, shifted=False):
         c = (x * x % p * x % p + a * x % p + b) % p
         redo = c == 0
     cc = c * c % p
-    ac, xc = a * cc % p, x * c % p
-    twisted = _lane_pow(c, (p - 1) >> 1, p) != 1
+    return a * cc % p, x * c % p, cc, _lane_pow(c, (p - 1) >> 1, p) != 1
+
+
+def _lane_pass(p, a, b, s, stats, shifted=False):
+    """One lane scan of the primes p with coefficient residues a and b, in
+    slices of equal size holding up to _BABY_ENTRIES baby-table entries:
+    each lane draws its next point by _next_points from its stream state
+    in s, which advances in place, and shifted goes to _lane_orders.
+    Returns per lane the settled order, mapped back from the twist (0
+    while the lane is open), ord(P) where the window held several
+    multiples of it (else 0), and whether P lay on the twist; stats
+    receives lane_points and lanes_twisted."""
     n = np.empty(len(p), dtype=np.int64)
     gaps = np.empty(len(p), dtype=np.int64)
+    twisted = np.empty(len(p), dtype=bool)
     slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
     for k in range(slices):
         part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
-        n[part], gaps[part] = _lane_orders(p[part], ac[part], xc[part], cc[part], shifted)
+        ac, xc, cc, twisted[part] = _next_points(p[part], a[part], b[part], s[part])
+        n[part], gaps[part] = _lane_orders(p[part], ac, xc, cc, shifted)
     stats["lane_points"] += len(p)
     stats["lanes_twisted"] += int(twisted.sum())
     return np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n), gaps, twisted
@@ -506,7 +516,8 @@ def _window_order(p, L):
 
 
 def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
-    """group_order of y^2 = x^3 + Ax + B at each prime, all of good reduction.
+    """group_order of y^2 = x^3 + Ax + B at each prime, all of good reduction,
+    of a list or an int64 array.
 
     Primes below 2**10 go to group_order's exhaustive count, and p >= 2**32
     raises ValueError.  The others run baby-step giant-step together in
@@ -534,45 +545,43 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     of points scanned (lane_points), of them on the twist (lanes_twisted),
     and of lane passes (lane_passes).
     """
-    if any(p >= _LANE_LIMIT for p in primes):
+    if len(primes) and np.max(primes) >= _LANE_LIMIT:
         raise ValueError("group orders need primes below 2**32")
     counts = Counter()
-    index = [i for i, p in enumerate(primes) if p >= _EXHAUSTIVE_BELOW]
-    out = [0] * len(primes)
-    if index:
-        p = np.array([primes[i] for i in index], dtype=np.uint64)
+    p = np.array(primes, dtype=np.uint64)
+    out = np.zeros(len(p), dtype=np.int64)
+    small = p < _EXHAUSTIVE_BELOW
+    for i in np.flatnonzero(small).tolist():
+        q = int(p[i])
+        out[i] = group_order(ReducedCurve(q, A % q, B % q))
+    lanes = np.flatnonzero(~small)  # the open lanes' places in out
+    counts["orders_batched"] = len(lanes)
+    counts["orders_exhaustive"] = len(p) - len(lanes)
+    if len(lanes):
+        # the open lanes' state, compacted after every pass
+        p = p[lanes]
         a, b = _lane_residues(A, p), _lane_residues(B, p)
         s = _mix_seed(p, a, b, 1)
-        n = np.zeros(len(p), dtype=np.int64)
         L = np.ones((2, len(p)), dtype=np.int64)  # lcms of point orders on E and its twist
-        lanes = np.arange(len(p))
         for k in range(_SAMPLE_BUDGET):
-            if not len(lanes):
-                break
-            state = s[lanes]
-            n[lanes], gaps, twisted = _lane_pass(p[lanes], a[lanes], b[lanes], state,
-                                                 counts, k % 2 == 1)
-            s[lanes] = state
+            n, gaps, twisted = _lane_pass(p, a, b, s, counts, k % 2 == 1)
             counts["lane_passes"] += 1
             several = np.flatnonzero(gaps)
             if len(several):
-                side, i = twisted[several].astype(np.intp), lanes[several]
-                L[side, i] = np.lcm(L[side, i], gaps[several])
-                n[i] = _window_order(p[i], L[:, i])
-            lanes = lanes[n[lanes] == 0]
-        if len(lanes):
-            raise IterationCap(f"group order over F_{p[lanes[0]]} unresolved after "
+                side = twisted[several].astype(np.intp)
+                L[side, several] = np.lcm(L[side, several], gaps[several])
+                n[several] = _window_order(p[several], L[:, several])
+            out[lanes] = n
+            keep = n == 0
+            if not keep.any():
+                break
+            lanes, p, a, b, s, L = lanes[keep], p[keep], a[keep], b[keep], s[keep], L[:, keep]
+        else:
+            raise IterationCap(f"group order over F_{p[0]} unresolved after "
                                f"{_SAMPLE_BUDGET} points")
-        for i, order in zip(index, n.tolist()):
-            out[i] = order
-    counts["orders_batched"] = len(index)
-    counts["orders_exhaustive"] = len(primes) - len(index)
-    for i, q in enumerate(primes):
-        if q < _EXHAUSTIVE_BELOW:
-            out[i] = group_order(ReducedCurve(q, A % q, B % q))
     if stats is not None:
         stats.update(counts)
-    return out
+    return out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +662,9 @@ def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> dict[int, 
     n = det(1 - Frobenius) = det(2I) = 4 mod l, which l | n rules out, so
     the test is true exactly when E[l] is rational.  psi_3 and psi_5 have
     leading coefficient 3 and 5; a lane makes them monic by
-    l^-1 = p - (p - 1)/l, as l | p - 1.
+    l^-1 = p - (p - 1)/l, as l | p - 1.  The lanes run in slices of equal
+    size whose fold tables, deg(psi_l)^2 residues a lane, hold up to
+    _FOLD_ENTRIES residues.
 
     stats, a Counter when given, receives the number of Legendre lanes
     (two_by_discriminant) and of Frobenius lanes (frobenius_lanes).
@@ -676,7 +687,11 @@ def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> dict[int, 
         else:
             *low, _ = (_lane_residues(c, q) for c in polys[l])
             inv = q - (q - 1) // np.uint64(l)
-            full[l][lanes] = _lane_x_power_is_x(np.stack([c * inv % q for c in low]), q)
+            low = np.stack([c * inv % q for c in low])
+            slices = -(-len(q) * len(low) ** 2 // _FOLD_ENTRIES)
+            for k in range(slices):
+                part = slice(k * len(q) // slices, (k + 1) * len(q) // slices)
+                full[l][lanes[part]] = _lane_x_power_is_x(low[:, part], q[part])
         if stats is not None:
             stats["two_by_discriminant" if l == 2 else "frobenius_lanes"] += len(lanes)
     return full

@@ -65,6 +65,11 @@ def test_classify_prime_against_brute_force():
     for p in (1, 4, 1001, 2047):  # 2047 = 23 * 89 passes a base-2 Fermat test
         with pytest.raises(ValueError):
             classify_prime(E1, p)
+    # a prime from 2**32 on is classified only when its reduction is bad
+    for q in (2**32 + 15, 2**64 + 13):
+        assert classify_prime(CurveOverQ(0, q), q).status == "bad_reduction"
+        with pytest.raises(ValueError, match="below 2\\*\\*32"):
+            classify_prime(E1, q)
 
 
 def test_classify_prime_matches_group_structure():
@@ -308,10 +313,13 @@ def test_checkpoint_corrupt_cases(tmp_path, monkeypatch):
 
 
 def test_interrupted_census_keeps_finished_chunks(tmp_path, monkeypatch):
+    # with two chunks a batch, a run interrupted after k batches keeps
+    # their 2k chunk records, and the resume reuses them
     monkeypatch.setattr("cyclored.census.CHUNK_SIZE", 64)
+    monkeypatch.setattr("cyclored.census._BATCH_CHUNKS", 2)
     ck = str(tmp_path / "ck.jsonl")
-    classify = census._classify_chunk
-    k = 3
+    classify = census._classify_batch
+    k = 2  # of the 3 batches of the 6 chunks to 2500
     done = []
 
     def interrupted(args):
@@ -320,17 +328,50 @@ def test_interrupted_census_keeps_finished_chunks(tmp_path, monkeypatch):
         done.append(args)
         return classify(args)
 
-    monkeypatch.setattr(census, "_classify_chunk", interrupted)
+    monkeypatch.setattr(census, "_classify_batch", interrupted)
     with pytest.raises(KeyboardInterrupt):
         run_census(E1, 2500, checkpoint=ck)
     lines = open(ck).read().splitlines()
     assert json.loads(lines[0])["kind"] == "header"
-    assert [json.loads(line)["kind"] for line in lines[1:]] == ["chunk"] * k
+    assert [json.loads(line)["kind"] for line in lines[1:]] == ["chunk"] * (2 * k)
 
-    monkeypatch.setattr(census, "_classify_chunk", classify)
+    monkeypatch.setattr(census, "_classify_batch", classify)
     resumed = run_census(E1, 2500, checkpoint=ck)
-    assert resumed.extra["chunks_reused"] == k
+    assert resumed.extra["chunks_reused"] == 2 * k
     assert strip_elapsed(resumed) == strip_elapsed(run_census(E1, 2500))
+
+
+def _census_files(tmp_path, name, x, csvs=()):
+    """run_census(E2, x) on two workers with a checkpoint, appended to when
+    it exists, and the CSV outputs named in csvs, each in tmp_path under
+    `name`: the report and each file's bytes."""
+    paths = {k: str(tmp_path / f"{name}.{k}") for k in ("ck", *csvs)}
+    r = run_census(E2, x, checkpoint=paths["ck"], workers=2, **{k: paths[k] for k in csvs})
+    return r, {k: open(path, "rb").read() for k, path in paths.items()}
+
+
+def test_batches_leave_records_rows_and_reports_unchanged(tmp_path, monkeypatch):
+    # Batches of three chunks write the same checkpoint, CSV rows and
+    # report as batches of one: on a plain census, on a resume whose saved
+    # chunks split the runs of chunks to compute, and with both CSVs.
+    monkeypatch.setattr("cyclored.census.CHUNK_SIZE", 64)
+    runs, batches = {}, {}
+    for bound in (1, 3):
+        monkeypatch.setattr("cyclored.census._BATCH_CHUNKS", bound)
+        plain = _census_files(tmp_path, f"plain{bound}", 5000)
+        # keep the records of chunks 0, 2 and 3 of a census to 3000: the
+        # resume to 5000 computes chunk 1, then chunks 4 to 10
+        _census_files(tmp_path, f"resume{bound}", 3000)
+        ck = tmp_path / f"resume{bound}.ck"
+        header, *records = ck.read_text().splitlines()
+        ck.write_text("\n".join([header] + [records[i] for i in (0, 2, 3)]) + "\n")
+        resume = _census_files(tmp_path, f"resume{bound}", 5000)
+        rows = _census_files(tmp_path, f"rows{bound}", 5000, ("per_prime_csv", "fraction_csv"))
+        runs[bound] = [(strip_elapsed(r), files) for r, files in (plain, resume, rows)]
+        batches[bound] = [r.extra["chunk_batches"] for r, _ in (plain, resume, rows)]
+    assert runs[1] == runs[3]
+    assert len(runs[3][2][1]) == 3  # the checkpoint and both CSVs
+    assert batches == {1: [11, 8, 11], 3: [4, 4, 4]}
 
 
 def test_checkpoint_detects_silent_edit_on_recompute(tmp_path, monkeypatch):
@@ -392,14 +433,27 @@ def test_csv_run_reuses_nothing_but_keeps_checkpoint(tmp_path, monkeypatch):
 
 
 def test_workers_agree(tmp_path, monkeypatch):
+    # 7 chunks of 64 primes in batches of two: the two-worker run computes
+    # four batches, so it starts a pool
     monkeypatch.setattr("cyclored.census.CHUNK_SIZE", 64)
+    monkeypatch.setattr("cyclored.census._BATCH_CHUNKS", 2)
+    pools = []
+    pool = census.multiprocessing.Pool
+
+    def counted(*args, **kwargs):
+        pools.append(args)
+        return pool(*args, **kwargs)
+
+    monkeypatch.setattr(census.multiprocessing, "Pool", counted)
     solo = run_census(E2, 3000, workers=1)
+    assert pools == []
     duo = run_census(E2, 3000, workers=2)
+    assert pools == [(2,)]
     assert strip_elapsed(solo) == strip_elapsed(duo)
     # The run counters are deterministic: the same with one worker or two.
     # Every good prime's order is counted exhaustively below 2^10 and
     # settled in the lanes above, on one point or more, each on the curve
-    # or on its twist, in one lane pass or more per chunk, more in some.
+    # or on its twist, in one lane pass or more per batch, more in some.
     assert solo.extra == duo.extra
     primes = prime_list(3000)
     good = [p for p in primes if E2.delta_E % p]
@@ -407,8 +461,10 @@ def test_workers_agree(tmp_path, monkeypatch):
     assert solo.extra["orders_batched"] == sum(1 for p in good if p > 1 << 10)
     assert solo.extra["orders_batched"] < solo.extra["lane_points"]
     assert 0 < solo.extra["lanes_twisted"] < solo.extra["lane_points"]
-    lane_chunks = sum(1 for k in range(0, len(primes), 64) if primes[k : k + 64][-1] > 1 << 10)
-    assert solo.extra["lane_passes"] > lane_chunks
+    batches = [primes[k : k + 128] for k in range(0, len(primes), 128)]
+    assert solo.extra["chunk_batches"] == len(batches) == 4
+    lane_batches = sum(1 for batch in batches if batch[-1] > 1 << 10)
+    assert solo.extra["lane_passes"] > lane_batches
     # The discriminant lanes run where 4 | n, the Frobenius lanes where
     # p = 1 mod l and l^2 | n for l = 3, 5, and group_structure where
     # gcd(n, p - 1) has a prime factor of 7 or more; it samples no more

@@ -36,6 +36,7 @@ from cyclored.curve import (
 )
 from cyclored.curve import _order_exhaustive, full_torsion_lanes, full_two_torsion
 from cyclored.modmath import factorize, is_prime, legendre
+from cyclored.registry import REGISTRY
 
 
 def test_singular_models_rejected():
@@ -505,6 +506,31 @@ def test_full_torsion_lanes_match_sylow():
                 seen[l, fixed] += 1
             assert group_structure(C, n, full_torsion=tested) == st, (E, p)
     assert all(seen[l, fixed] > 0 for l in (3, 5) for fixed in (True, False)), seen
+
+
+@pytest.mark.parametrize("label, lanes", [("serre-ex3", 9185), ("serre-ex5", 5780)])
+def test_full_torsion_lanes_slices_agree(monkeypatch, label, lanes):
+    # The psi lanes of every good prime to 2*10^5 give the same answers in
+    # the default slices as in slices of a small fold budget, which cuts
+    # each l into several.
+    E = REGISTRY[label].curve
+    good = [p for p in prime_list(200_000) if E.delta_E % p]
+    orders = group_orders(E.A, E.B, good)
+    stats = Counter()
+    whole = full_torsion_lanes(E.A, E.B, good, orders, stats)
+    assert stats["frobenius_lanes"] == lanes
+    calls = Counter()
+    power_is_x = curve._lane_x_power_is_x
+
+    def counted(low, p):
+        calls[len(low)] += 1
+        return power_is_x(low, p)
+
+    monkeypatch.setattr(curve, "_lane_x_power_is_x", counted)
+    monkeypatch.setattr(curve, "_FOLD_ENTRIES", 9 << 10)
+    sliced = full_torsion_lanes(E.A, E.B, good, orders)
+    assert calls[4] >= 2 and calls[12] >= 2, calls  # psi_3 and psi_5 in slices
+    assert all(np.array_equal(whole[l], sliced[l]) for l in (2, 3, 5))
 
 
 def _roots(coeffs, p):

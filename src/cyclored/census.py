@@ -5,7 +5,8 @@ cyclic or not, with bad primes tracked separately.  Work proceeds in fixed
 chunks of primes so long runs can checkpoint to a line-delimited JSON file
 and resume later, even when the resumed run asks for a different bound.
 The unit of computation is the batch: up to _BATCH_CHUNKS consecutive
-chunks to compute, classified together and cut back into chunk records.
+chunks to compute, classified together as one int64 array of rad(d) per
+prime (_obstructions), from which records, rows and all counts are read.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import signal
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from math import gcd, prod
 
 import numpy as np
 
@@ -50,8 +52,6 @@ _METHOD = ("group orders by baby-step giant-step in numpy lanes on the curve and
            "quadratic twist, exhaustive below 2**10; l | d for l = 2 from the cubic's "
            "discriminant, for l = 3, 5 from Frobenius on division polynomials, for l >= 7 "
            "from the exact group structure with certified Sylow sampling")
-# the primes among 2, 3 and 5 named by the bits of k, for k < 8
-_SUPPORTS = [tuple(l for j, l in enumerate((2, 3, 5)) if k >> j & 1) for k in range(8)]
 
 
 class CheckpointCorrupt(Exception):
@@ -122,11 +122,12 @@ class CensusReport:
         }
 
 
-def _obstructions(curve: CurveOverQ, primes, stats=None) -> list[tuple[int, ...] | None]:
-    """Per prime, the primes l dividing the first invariant factor d of the
-    reduced point group, that is those with E[l] in E(F_p), or None at a
-    prime of bad reduction.  primes, an int64 array or a list, lie below
-    2**32, as the sieve's do.
+def _obstructions(curve: CurveOverQ, primes, stats=None) -> np.ndarray:
+    """Per prime, as an int64 array, rad(d): the product of the primes l
+    dividing the first invariant factor d of the reduced point group, that
+    is those with E[l] in E(F_p); 0 at a prime of bad reduction, 1 for a
+    cyclic group.  primes, an int64 array or a list, lie below 2**32, as
+    the sieve's do, so rad(d) | d | p - 1 fits.
 
     One curve.group_orders call gives the group orders n of the good
     primes, and one curve.full_torsion_lanes call decides l | d for
@@ -138,32 +139,35 @@ def _obstructions(curve: CurveOverQ, primes, stats=None) -> list[tuple[int, ...]
     (structure_exact)."""
     A, B, delta = curve.A, curve.B, curve.delta_E
     primes = np.asarray(primes, dtype=np.int64)
-    keep = [delta % p != 0 for p in primes.tolist()]
-    good = primes[np.array(keep, dtype=bool)]
+    rad = np.array([delta % p != 0 for p in primes.tolist()], dtype=np.int64)
+    good = primes[rad == 1]
     orders = np.array(group_orders(A, B, good, stats), dtype=np.int64)
     full = full_torsion_lanes(A, B, good, orders, stats)
     g = np.gcd(orders, good - 1)
     for power in (2**32, 3**21, 5**14):  # above any power of 2, 3 or 5 dividing g
         g //= np.gcd(g, power)
-    support = full[2] | full[3] << 1 | full[5] << 2
-    obst = [_SUPPORTS[k] for k in support.tolist()]
+    known = 2 ** full[2] * 3 ** full[3] * 5 ** full[5]
     exact = np.flatnonzero(g > 1).tolist()
     for i in exact:
         p, n = int(good[i]), int(orders[i])
         d = group_structure(ReducedCurve(p, A % p, B % p), n, stats,
                             {3: bool(full[3][i]), 5: bool(full[5][i])}).d
-        obst[i] = tuple(q for q, _ in factorize(d))
+        known[i] = prod(q for q, _ in factorize(d))
     if stats is not None:
         stats["structure_exact"] += len(exact)
-    known = iter(obst)
-    return [next(known) if k else None for k in keep]
+    rad[rad == 1] = known
+    return rad
 
 
-def _classify(p: int, obst: tuple[int, ...] | None) -> tuple[int, str, tuple[int, ...]]:
-    """(p, status, obstruction primes) from the primes dividing d."""
-    if obst is None:
-        return p, "bad_reduction", ()
-    return p, "non_cyclic" if obst else "cyclic", obst
+def _status(r: int) -> tuple[str, tuple[int, ...]]:
+    """The status and obstruction primes of a prime whose rad(d) is r."""
+    status = "bad_reduction" if r == 0 else "non_cyclic" if r > 1 else "cyclic"
+    return status, tuple(q for q, _ in factorize(r)) if r else ()
+
+
+def _split(rad: np.ndarray, l: int) -> int:
+    """How many of the good primes whose rad(d) are in rad have l | d."""
+    return int(np.count_nonzero((rad > 0) & (rad % l == 0)))
 
 
 def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
@@ -183,7 +187,7 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
         return PrimeClassification(p, "bad_reduction")
     if p >= SIEVE_LIMIT:
         raise ValueError(f"group orders need primes below 2**32, not {p}")
-    return PrimeClassification(*_classify(p, _obstructions(curve, [p])[0]))
+    return PrimeClassification(p, *_status(int(_obstructions(curve, [p])[0])))
 
 
 def _classify_batch(args):
@@ -191,32 +195,28 @@ def _classify_batch(args):
     curve by one _obstructions call on all their primes.
 
     Module-level so multiprocessing can pickle it.  Returns per chunk its
-    record and its per-prime rows when requested, and the batch's counts
-    from _obstructions with chunk_batches = 1, which stay out of the
-    records: resume compares records for equality.
+    record and, when rows are requested, its (primes, rad) int64 arrays,
+    and the batch's counts from _obstructions with chunk_batches = 1,
+    which stay out of the records: resume compares records for equality.
     """
     curve, chunks, want_rows = args
     counts = Counter(chunk_batches=1)
-    obst_all = _obstructions(curve, np.concatenate(chunks), counts)
+    rads = np.split(_obstructions(curve, np.concatenate(chunks), counts),
+                    np.cumsum([len(primes) for primes in chunks[:-1]]))
     out = []
-    end = 0
-    for primes in map(np.ndarray.tolist, chunks):
-        obst = obst_all[end : end + len(primes)]
-        end += len(primes)
-        tally = Counter(obst)  # None for a bad prime, () for a cyclic one
-        bad = [p for p, o in zip(primes, obst) if o is None]
+    for primes, rad in zip(chunks, rads):
+        bad = primes[rad == 0].tolist()
         record = {
             "kind": "chunk",
-            "first": primes[0],
-            "last": primes[-1],
+            "first": int(primes[0]),
+            "last": int(primes[-1]),
             "count": len(primes),
             "good": len(primes) - len(bad),
-            "cyclic": tally[()],
+            "cyclic": int(np.count_nonzero(rad == 1)),
             "bad": bad,
-            "split": {str(l): sum(k for o, k in tally.items() if o and l in o)
-                      for l in SPLIT_PRIMES},
+            "split": {str(l): _split(rad, l) for l in SPLIT_PRIMES},
         }
-        out.append((record, list(map(_classify, primes, obst)) if want_rows else None))
+        out.append((record, (primes, rad) if want_rows else None))
     return out, counts
 
 
@@ -323,10 +323,10 @@ def _batches(chunks, reuse=lambda chunk: False):
 
 
 def _classified(curve, chunks):
-    """_obstructions of the chunks' primes, in order, one call per batch,
-    as the census batches chunks when it reuses none."""
+    """The rad(d) arrays of _obstructions on the chunks' primes, in order,
+    one per batch, as the census batches chunks when it reuses none."""
     for batch, _ in _batches(chunks):
-        yield from _obstructions(curve, np.concatenate(batch))
+        yield _obstructions(curve, np.concatenate(batch))
 
 
 def _chunk_results(curve, chunks, saved, want_rows, workers, stack):
@@ -381,10 +381,10 @@ def run_census(
     primes, in order.  Each run of up to _BATCH_CHUNKS consecutive chunks
     to compute is classified as one batch (from a worker pool when
     workers > 1 and more than one batch is computed) and cut back into
-    chunk records.  Each chunk takes its saved record or its computed one,
-    then appends and flushes the record, writes its CSV rows and adds its
-    totals.  Memory does not grow with x beyond the bad primes and the
-    checkpoint's records.
+    chunk records and rad(d) arrays.  Each chunk takes its saved record or
+    its computed one, then appends and flushes the record, writes its CSV
+    rows and adds its totals.  Memory does not grow with x beyond the bad
+    primes and the checkpoint's records.
 
     Checkpointing: with `checkpoint` set, records are appended as each
     batch finishes, in chunk order, so an interrupted run keeps them, and
@@ -454,10 +454,13 @@ def run_census(
                     seen += rec["count"]
                     cyclic += rec["cyclic"]
                     continue
-                for p, status, obst in rows:
+                primes, rad = map(np.ndarray.tolist, rows)
+                labels = {r: _status(r) for r in set(rad)}  # factorised once per rad(d)
+                for p, r in zip(primes, rad):
                     seen += 1
-                    cyclic += status == "cyclic"
+                    cyclic += r == 1
                     if pp_writer is not None:
+                        status, obst = labels[r]
                         pp_writer.writerow([p, status, ";".join(map(str, obst))])
                     if fr_writer is not None:
                         fr_writer.writerow([p, seen, cyclic, f"{cyclic / seen:.6f}"])
@@ -490,9 +493,9 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     which asks whether the cubic x^3 + ax + b splits over F_p by
     x^p == x modulo it, with no group order: a computation of 2 | d apart
     from the census's Legendre symbol of the discriminant.  For odd l
-    there is one path, the census's: the progression is regrouped by
-    _chunks and classified by _obstructions in the census's batches of
-    chunks.  An l >= x leaves the progression empty and counts 0.
+    there is one path, the census's: _chunks of the progression, whose
+    _classified rad(d) arrays _split counts as a chunk record's are.
+    An l >= x leaves the progression empty and counts 0.
     """
     if not is_prime(l):
         raise ValueError(f"torsion prime must be a prime: {l}")
@@ -505,7 +508,7 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     if l >= x:  # no p = 1 mod l up to x; keeps l in int64 for block % l
         return 0
     chunks = _chunks(block[block % l == 1] for block in stream)
-    return sum(1 for obst in _classified(curve, chunks) if obst and l in obst)
+    return sum(_split(rad, l) for rad in _classified(curve, chunks))
 
 
 @dataclass(frozen=True)
@@ -530,28 +533,24 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     Inclusion-exclusion is an identity: the two counts agree for any
     per-prime torsion sets, so equality checks the moebius values and the
     squarefree-divisor bookkeeping, not the classification.  The
-    statistic is terms, those full m-torsion counts, taken from the
-    census's classification of the primes, batch by batch.
+    statistic is terms: per batch of the census, its good primes by
+    g = gcd(rad(d), rad(n)), and terms[m] the count of g divisible by m.
     """
     if n < 1:
         raise ValueError("modulus must be at least 1")
     ell = tuple(q for q, _ in factorize(n)) if n > 1 else ()
-    direct = 0
+    rad_n = prod(ell)
     # Squarefree divisors of n, as subsets of its prime support.
     sq_divs = [1]
     for q in ell:
         sq_divs.extend(m * q for m in list(sq_divs))
-    full_counts = {m: 0 for m in sq_divs}
-    for obst in _classified(curve, _chunks(sieve_primes(x))):
-        if obst is None:
-            continue
-        torsion = {q for q in ell if q in obst}
-        if not torsion:
-            direct += 1
-        for m in sq_divs:
-            if all(q in torsion for q in ell if m % q == 0):
-                full_counts[m] += 1
+    by_g = Counter()
+    for rad in _classified(curve, _chunks(sieve_primes(x))):
+        values, counts = np.unique(rad[rad > 0], return_counts=True)
+        for r, k in zip(values.tolist(), counts.tolist()):
+            by_g[gcd(r, rad_n)] += k
+    full_counts = {m: sum(k for g, k in by_g.items() if g % m == 0) for m in sq_divs}
     msum = sum(moebius(m) * full_counts[m] for m in sq_divs)
     return InclusionExclusionReport(
-        n=n, limit=x, direct_count=direct, moebius_sum=msum, terms=full_counts
+        n=n, limit=x, direct_count=by_g[1], moebius_sum=msum, terms=full_counts
     )

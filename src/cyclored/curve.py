@@ -59,7 +59,6 @@ _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
 _BABY_ENTRIES = 3 << 14     # baby-table entries per lane slice, about 1.2 MiB of points
 _FOLD_ENTRIES = 3 * _BABY_ENTRIES  # fold residues per psi lane slice, about 1.2 MiB
-_TORSION_SLICE = 1 << 15    # primes per full_two_torsion pass, about 12 MiB of lanes
 
 
 class BadReduction(Exception):
@@ -478,6 +477,12 @@ def _next_points(p, a, b, s):
     return a * cc % p, x * c % p, cc, _lane_pow(c, (p - 1) >> 1, p) != 1
 
 
+def _slices(lanes, width, budget):
+    """range(lanes) in the fewest equal slices of up to budget entries, width a lane."""
+    count = -(-lanes * width // budget)
+    return [slice(k * lanes // count, (k + 1) * lanes // count) for k in range(count)]
+
+
 def _lane_pass(p, a, b, s, stats, shifted=False):
     """One lane scan of the primes p with coefficient residues a and b, in
     slices of equal size holding up to _BABY_ENTRIES baby-table entries:
@@ -490,9 +495,7 @@ def _lane_pass(p, a, b, s, stats, shifted=False):
     n = np.empty(len(p), dtype=np.int64)
     gaps = np.empty(len(p), dtype=np.int64)
     twisted = np.empty(len(p), dtype=bool)
-    slices = -(-len(p) * _baby_rows(int(p.max())) // _BABY_ENTRIES)
-    for k in range(slices):
-        part = slice(k * len(p) // slices, (k + 1) * len(p) // slices)
+    for part in _slices(len(p), _baby_rows(int(p.max())), _BABY_ENTRIES):
         ac, xc, cc, twisted[part] = _next_points(p[part], a[part], b[part], s[part])
         n[part], gaps[part] = _lane_orders(p[part], ac, xc, cc, shifted)
     stats["lane_points"] += len(p)
@@ -688,9 +691,7 @@ def full_torsion_lanes(A: int, B: int, primes, orders, stats=None) -> dict[int, 
             *low, _ = (_lane_residues(c, q) for c in polys[l])
             inv = q - (q - 1) // np.uint64(l)
             low = np.stack([c * inv % q for c in low])
-            slices = -(-len(q) * len(low) ** 2 // _FOLD_ENTRIES)
-            for k in range(slices):
-                part = slice(k * len(q) // slices, (k + 1) * len(q) // slices)
+            for part in _slices(len(q), len(low) ** 2, _FOLD_ENTRIES):
                 full[l][lanes[part]] = _lane_x_power_is_x(low[:, part], q[part])
         if stats is not None:
             stats["two_by_discriminant" if l == 2 else "frobenius_lanes"] += len(lanes)
@@ -825,16 +826,12 @@ def full_two_torsion(A: int, B: int, primes) -> list[bool]:
     y^2 = x^3 + Ax + B are rational over F_p, that is 2 | d: whether the
     cubic splits over F_p, x^p == x modulo it, asked of _lane_x_power_is_x
     with no group order.  primes are of good reduction and below 2**32,
-    and p = 2 raises ValueError.  Slices of _TORSION_SLICE primes bound
-    the lane arrays.
+    and p = 2 raises ValueError.  Fold tables of 9 residues a lane are
+    sliced under _FOLD_ENTRIES, as in full_torsion_lanes.
     """
-    if len(primes) > _TORSION_SLICE:
-        return [ok for k in range(0, len(primes), _TORSION_SLICE)
-                for ok in full_two_torsion(A, B, primes[k : k + _TORSION_SLICE])]
     if any(p % 2 == 0 or p >= _LANE_LIMIT for p in primes):
         raise ValueError("primes must be odd and below 2**32")
-    if not primes:
-        return []
     q = np.array(primes, dtype=np.uint64)
     low = np.stack([_lane_residues(B, q), _lane_residues(A, q), np.zeros_like(q)])
-    return _lane_x_power_is_x(low, q).tolist()
+    return [ok for part in _slices(len(q), len(low) ** 2, _FOLD_ENTRIES)
+            for ok in _lane_x_power_is_x(low[:, part], q[part]).tolist()]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from conftest import FIVE_CURVES, brute_first_invariant, brute_structure, prime_list, torsion_bands
@@ -92,30 +94,31 @@ def test_classify_prime_matches_group_structure():
 
 
 def test_chunk_classifier_matches_group_structure():
-    # On torsion_bands, the census's obstruction primes for a chunk are the
-    # prime support of the sampled group_structure(C, n).d.  Every branch
-    # is taken both ways: 2 | d by the discriminant, at p = 3 mod 4 too,
-    # where its sign matters; 3 | d and 5 | d by the Frobenius lanes; and
-    # a prime whose gcd(n, p - 1) keeps a factor l >= 7, routed to
-    # group_structure, with l | d.
+    # On torsion_bands, the census's rad(d) for a chunk is the radical of
+    # the sampled group_structure(C, n).d, and 0 exactly at the bad
+    # primes.  Every branch is taken both ways: 2 | d by the discriminant,
+    # at p = 3 mod 4 too, where its sign matters; 3 | d and 5 | d by the
+    # Frobenius lanes; and a prime whose gcd(n, p - 1) keeps a factor
+    # l >= 7, routed to group_structure, with l | d.
     seen = Counter()
     for A, B, primes in torsion_bands():
         E = CurveOverQ(A, B)
         good = [p for p in primes if E.delta_E % p]
-        obst = [o for o in census._obstructions(E, primes) if o is not None]
-        assert len(obst) == len(good)
-        for p, n, o in zip(good, group_orders(A, B, good), obst):
+        rad = census._obstructions(E, primes)
+        assert rad.dtype == np.int64
+        assert (rad == 0).tolist() == [E.delta_E % p == 0 for p in primes]
+        for p, n, r in zip(good, group_orders(A, B, good), rad[rad > 0].tolist()):
             d = group_structure(reduce(E, p), n).d
-            assert o == tuple(q for q, _ in factorize(d)), (E, p)
+            assert r == prod(q for q, _ in factorize(d)), (E, p)
             if n % 4 == 0:
-                seen[2, 2 in o, p % 4] += 1
+                seen[2, r % 2 == 0, p % 4] += 1
             rough = [q for q, _ in factorize(gcd(n, p - 1)) if q >= 7]
             if rough:
                 seen[7, any(d % q == 0 for q in rough)] += 1
                 continue
             for l in (3, 5):
                 if p % l == 1 and n % (l * l) == 0:
-                    seen[l, l in o] += 1
+                    seen[l, r % l == 0] += 1
     want = [(2, split, r) for split in (True, False) for r in (1, 3)]
     want += [(l, split) for l in (3, 5, 7) for split in (True, False)]
     assert all(seen[k] for k in want), seen
@@ -533,19 +536,46 @@ def test_split_count():
             split_count(E1, l, 3000)
 
 
+@functools.lru_cache(maxsize=None)
+def _torsion_invariants(A: int, B: int, x: int) -> list[int]:
+    """d at every good prime below x of y^2 = x^3 + Ax + B, by counting
+    torsion points."""
+    delta = CurveOverQ(A, B).delta_E
+    return [brute_first_invariant(p, A % p, B % p) for p in prime_list(x) if delta % p]
+
+
+# serre-ex1, serre-ex3 and serre-ex2; serre-ex2 has full 7-torsion at p = 1667
+TORSION_CURVES = (FIVE_CURVES[0], FIVE_CURVES[2], FIVE_CURVES[1])
+
+
 def test_split_count_matches_torsion_count():
-    # every good prime below 2000 of serre-ex1, serre-ex3 and serre-ex2
-    # against a count of torsion points; serre-ex2 has full 7-torsion at
-    # p = 1667
+    # every good prime below 2000 against a count of torsion points
     found = Counter()
-    for A, B in (FIVE_CURVES[0], FIVE_CURVES[2], FIVE_CURVES[1]):
+    for A, B in TORSION_CURVES:
         E = CurveOverQ(A, B)
-        d = [brute_first_invariant(p, A % p, B % p) for p in prime_list(2000) if E.delta_E % p]
+        d = _torsion_invariants(A, B, 2000)
         for l in (2, 3, 5, 7):
             count = split_count(E, l, 2000)
             assert count == sum(v % l == 0 for v in d), (A, B, l)
             found[l] += count
     assert all(found[l] for l in (2, 3, 5, 7)), found
+
+
+def test_inclusion_exclusion_matches_brute_torsion():
+    # each term, primes 7 and 11 included, and the direct count against a
+    # count of torsion points at every good prime below 2000
+    found = Counter()
+    for A, B in TORSION_CURVES:
+        E = CurveOverQ(A, B)
+        d = _torsion_invariants(A, B, 2000)
+        for n in (210, 2310):
+            rep = inclusion_exclusion_check(E, 2000, n)
+            assert sorted(rep.terms) == [m for m in range(1, n + 1) if n % m == 0]
+            assert rep.terms == {m: sum(v % m == 0 for v in d) for m in rep.terms}, (A, B, n)
+            assert rep.direct_count == sum(gcd(v, n) == 1 for v in d), (A, B, n)
+            assert rep.consistent
+            found.update(rep.terms)
+    assert found[7] and found[6], found
 
 
 def test_inclusion_exclusion_frozen():

@@ -6,7 +6,8 @@ chunks of primes so long runs can checkpoint to a line-delimited JSON file
 and resume later, even when the resumed run asks for a different bound.
 The unit of computation is the batch: up to _BATCH_CHUNKS consecutive
 chunks to compute, classified together as one int64 array of rad(d) per
-prime (_obstructions), from which records, rows and all counts are read.
+prime (_obstructions).  A worker returns only that array; the calling
+process builds every record, total and row from it.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from . import __version__
 from .curve import (
     CurveOverQ,
     ReducedCurve,
+    _lane_residues,
     full_torsion_lanes,
     full_two_torsion,
     group_orders,
     group_structure,
 )
-from .modmath import SIEVE_LIMIT, factorize, is_prime, moebius, sieve_primes
+from .modmath import SIEVE_LIMIT, divisors, factorize, is_prime, moebius, sieve_primes
 from .utils import truncate_decimal
 
 CHUNK_SIZE = 4096
@@ -45,8 +47,8 @@ _CHECKPOINT_VERSION = 1
 # curve.group_structure's counters, summed over the batches, and the number
 # of batches (chunk_batches) that CensusReport.extra carries
 _RUN_COUNTS = ("chunk_batches", "orders_batched", "orders_exhaustive", "lane_points",
-               "lane_passes", "lanes_twisted", "two_by_discriminant", "frobenius_lanes",
-               "structure_exact", "sylow_sampled")
+               "lane_passes", "lanes_twisted", "lanes_rescanned", "two_by_discriminant",
+               "frobenius_lanes", "structure_exact", "sylow_sampled")
 # how a report's counts were made, recorded in its JSON
 _METHOD = ("group orders by baby-step giant-step in numpy lanes on the curve and its "
            "quadratic twist, exhaustive below 2**10; l | d for l = 2 from the cubic's "
@@ -139,7 +141,7 @@ def _obstructions(curve: CurveOverQ, primes, stats=None) -> np.ndarray:
     (structure_exact)."""
     A, B, delta = curve.A, curve.B, curve.delta_E
     primes = np.asarray(primes, dtype=np.int64)
-    rad = np.array([delta % p != 0 for p in primes.tolist()], dtype=np.int64)
+    rad = (_lane_residues(delta, primes.astype(np.uint64)) != 0).astype(np.int64)
     good = primes[rad == 1]
     orders = np.array(group_orders(A, B, good, stats), dtype=np.int64)
     full = full_torsion_lanes(A, B, good, orders, stats)
@@ -190,34 +192,28 @@ def classify_prime(curve: CurveOverQ, p: int) -> PrimeClassification:
     return PrimeClassification(p, *_status(int(_obstructions(curve, [p])[0])))
 
 
-def _classify_batch(args):
-    """Worker body: classify a batch of consecutive chunks of primes for a
-    curve by one _obstructions call on all their primes.
+def _record(primes: np.ndarray, rad: np.ndarray) -> dict:
+    """The checkpoint record of a chunk of primes whose rad(d) are rad."""
+    bad = primes[rad == 0].tolist()
+    return {
+        "kind": "chunk",
+        "first": int(primes[0]),
+        "last": int(primes[-1]),
+        "count": len(primes),
+        "good": len(primes) - len(bad),
+        "cyclic": int(np.count_nonzero(rad == 1)),
+        "bad": bad,
+        "split": {str(l): _split(rad, l) for l in SPLIT_PRIMES},
+    }
 
-    Module-level so multiprocessing can pickle it.  Returns per chunk its
-    record and, when rows are requested, its (primes, rad) int64 arrays,
-    and the batch's counts from _obstructions with chunk_batches = 1,
-    which stay out of the records: resume compares records for equality.
-    """
-    curve, chunks, want_rows = args
+
+def _classify_batch(args):
+    """Worker body: the _obstructions rad(d) array of a curve at a batch's
+    primes, and the batch's counts from _obstructions with
+    chunk_batches = 1.  Module-level so multiprocessing can pickle it."""
+    curve, primes = args
     counts = Counter(chunk_batches=1)
-    rads = np.split(_obstructions(curve, np.concatenate(chunks), counts),
-                    np.cumsum([len(primes) for primes in chunks[:-1]]))
-    out = []
-    for primes, rad in zip(chunks, rads):
-        bad = primes[rad == 0].tolist()
-        record = {
-            "kind": "chunk",
-            "first": int(primes[0]),
-            "last": int(primes[-1]),
-            "count": len(primes),
-            "good": len(primes) - len(bad),
-            "cyclic": int(np.count_nonzero(rad == 1)),
-            "bad": bad,
-            "split": {str(l): _split(rad, l) for l in SPLIT_PRIMES},
-        }
-        out.append((record, (primes, rad) if want_rows else None))
-    return out, counts
+    return _obstructions(curve, primes, counts), counts
 
 
 def _load_checkpoint(path: str, a: int, b: int) -> dict:
@@ -300,54 +296,44 @@ def _key(chunk) -> tuple[int, int, int]:
     return int(chunk[0]), int(chunk[-1]), len(chunk)
 
 
-def _batches(chunks, reuse=lambda chunk: False):
-    """The chunks, in order, grouped into (list of chunks, computed):
-    each run of up to _BATCH_CHUNKS consecutive chunks to compute is one
-    list, and a chunk that `reuse` takes ends the run and is a list of its
-    own.  So the batches depend on the chunks and on which are reused,
-    nothing else."""
+def _batches(chunks, reuse):
+    """The chunks, in order, grouped into (their primes as one array,
+    computed): each run of up to _BATCH_CHUNKS consecutive chunks to
+    compute is one batch, and a chunk that `reuse` takes ends the run and
+    is a batch of its own.  So the batches depend on the chunks and on
+    which are reused, nothing else."""
     run = []
     for chunk in chunks:
         if reuse(chunk):
             if run:
-                yield run, True
+                yield np.concatenate(run), True
                 run = []
-            yield [chunk], False
+            yield chunk, False
             continue
         run.append(chunk)
         if len(run) == _BATCH_CHUNKS:
-            yield run, True
+            yield np.concatenate(run), True
             run = []
     if run:
-        yield run, True
+        yield np.concatenate(run), True
 
 
-def _classified(curve, chunks):
-    """The rad(d) arrays of _obstructions on the chunks' primes, in order,
-    one per batch, as the census batches chunks when it reuses none."""
-    for batch, _ in _batches(chunks):
-        yield _obstructions(curve, np.concatenate(batch))
+def _classified(curve, chunks, reuse=lambda chunk: False, workers=1, stack=None):
+    """Per batch of _batches, in order: its primes, and the (rad(d),
+    counts) of _classify_batch on them, or None for a reused chunk.
 
-
-def _chunk_results(curve, chunks, saved, want_rows, workers, stack):
-    """Per batch of _batches, in order: its chunks' keys and saved records
-    (None where there is none), and its _classify_batch result, or None
-    for a reused chunk.
-
-    The chunks are walked once.  Those with rows wanted or no saved
-    record are batched and the batches go lazily to _classify_batch: in
-    this process, or, once a second batch turns up and workers > 1, on a
-    pool of `workers` entered on `stack`, with up to 2 * workers batches
-    in flight ahead of the one yielded."""
+    The chunks are walked once and the batches to compute go lazily to
+    _classify_batch: in this process, or, once a second batch turns up
+    and workers > 1, on a pool of `workers` entered on `stack`, with up
+    to 2 * workers batches in flight ahead of the one yielded."""
     feed = queue.SimpleQueue()  # batches to compute, in order; None ends it
     results = map(_classify_batch, iter(feed.get, None))
     window = 0 if workers == 1 else 2 * workers
     pending = deque()
     queued = in_flight = 0
-    for batch, work in _batches(chunks,
-                                lambda chunk: not want_rows and _key(chunk) in saved):
+    for primes, work in _batches(chunks, reuse):
         if work:
-            feed.put((curve, batch, want_rows))
+            feed.put((curve, primes))
             queued += 1
             if queued == 2 and workers > 1:
                 pool = stack.enter_context(
@@ -355,14 +341,14 @@ def _chunk_results(curve, chunks, saved, want_rows, workers, stack):
                 # ends the pool's reader of the feed, which the pool's exit joins
                 stack.callback(feed.put, None)
                 results = pool.imap(_classify_batch, iter(feed.get, None))
-        pending.append(([(key, saved.get(key)) for key in map(_key, batch)], work))
+        pending.append((primes, work))
         in_flight += work
         while pending and (not pending[0][1] or in_flight > window):
-            entries, work = pending.popleft()
+            primes, work = pending.popleft()
             in_flight -= work
-            yield entries, next(results) if work else None
-    for entries, work in pending:
-        yield entries, next(results) if work else None
+            yield primes, next(results) if work else None
+    for primes, work in pending:
+        yield primes, next(results) if work else None
 
 
 def run_census(
@@ -379,12 +365,14 @@ def run_census(
 
     One pass walks the sieve_primes stream in chunks of CHUNK_SIZE
     primes, in order.  Each run of up to _BATCH_CHUNKS consecutive chunks
-    to compute is classified as one batch (from a worker pool when
-    workers > 1 and more than one batch is computed) and cut back into
-    chunk records and rad(d) arrays.  Each chunk takes its saved record or
-    its computed one, then appends and flushes the record, writes its CSV
-    rows and adds its totals.  Memory does not grow with x beyond the bad
-    primes and the checkpoint's records.
+    to compute is classified as one batch by _classified (on a worker
+    pool when workers > 1 and more than one batch is computed), and this
+    process cuts its rad(d) array back into chunks and builds their
+    records.  A computed record is checked against the saved one or
+    appended and flushed; a reused chunk takes its saved record.  The
+    totals add up the records, and the CSV rows' running counts start
+    from the totals before their batch.  Memory does not grow with x
+    beyond the bad primes and the checkpoint's records.
 
     Checkpointing: with `checkpoint` set, records are appended as each
     batch finishes, in chunk order, so an interrupted run keeps them, and
@@ -413,8 +401,8 @@ def run_census(
 
     bad_all: list[int] = []
     counts = Counter()
-    cyclic = seen = chunks = computed = 0
-    split_totals = {l: 0 for l in SPLIT_PRIMES}
+    totals = Counter()  # the records' count, cyclic and split counts (by str(l)), and chunks
+    computed = 0
     with contextlib.ExitStack() as stack:
         ck_fh = pp_writer = fr_writer = None
         if checkpoint is not None:
@@ -431,54 +419,59 @@ def run_census(
             fr_writer = csv.writer(stack.enter_context(open(fraction_csv, "w", newline="")))
             fr_writer.writerow(["p", "primes_seen", "cyclic_seen", "running_fraction"])
 
-        for entries, result in _chunk_results(curve, _chunks(stream), saved, want_rows,
-                                              workers, stack):
-            # a reused chunk comes alone, with nothing computed
-            outs, batch_counts = result or ([(None, None)], {})
-            counts.update(batch_counts)
-            for (key, rec), (new, rows) in zip(entries, outs):
-                chunks += 1
-                if new is not None:
-                    if rec is not None and rec != new:
+        for primes, result in _classified(
+                curve, _chunks(stream), lambda chunk: not want_rows and _key(chunk) in saved,
+                workers, stack):
+            if result is None:  # a reused chunk comes alone
+                chunks = [(primes, None)]
+            else:
+                rad, batch_counts = result
+                counts.update(batch_counts)
+                # every chunk but the stream's last holds CHUNK_SIZE primes
+                cuts = range(CHUNK_SIZE, len(primes), CHUNK_SIZE)
+                chunks = zip(np.split(primes, cuts), np.split(rad, cuts))
+            for primes, rad in chunks:
+                key = _key(primes)
+                if rad is None:
+                    rec = saved[key]
+                else:
+                    rec = _record(primes, rad)
+                    computed += 1
+                    if saved.get(key, rec) != rec:
                         raise CheckpointCorrupt(
                             f"recomputed chunk {key} disagrees with checkpoint")
-                    if rec is None and ck_fh is not None:
-                        ck_fh.write(json.dumps(new, sort_keys=True) + "\n")
+                    if key not in saved and ck_fh is not None:
+                        ck_fh.write(json.dumps(rec, sort_keys=True) + "\n")
                         ck_fh.flush()
-                    rec = new
-                    computed += 1
+                # rows (no chunk is reused then) count on from the totals before the chunk
+                if pp_writer is not None:
+                    rads = rad.tolist()
+                    labels = {r: _status(r) for r in set(rads)}  # factorised once per rad(d)
+                    pp_writer.writerows([p, labels[r][0], ";".join(map(str, labels[r][1]))]
+                                        for p, r in zip(primes.tolist(), rads))
+                if fr_writer is not None:
+                    seen = totals["count"]
+                    running = (totals["cyclic"] + np.cumsum(rad == 1)).tolist()
+                    fr_writer.writerows([p, k, c, f"{c / k:.6f}"] for k, p, c in
+                                        zip(range(seen + 1, seen + 1 + len(primes)),
+                                            primes.tolist(), running))
+                totals.update(rec["split"], count=rec["count"], cyclic=rec["cyclic"], chunks=1)
                 bad_all.extend(rec["bad"])
-                for l in SPLIT_PRIMES:
-                    split_totals[l] += rec["split"][str(l)]
-                if rows is None:
-                    seen += rec["count"]
-                    cyclic += rec["cyclic"]
-                    continue
-                primes, rad = map(np.ndarray.tolist, rows)
-                labels = {r: _status(r) for r in set(rad)}  # factorised once per rad(d)
-                for p, r in zip(primes, rad):
-                    seen += 1
-                    cyclic += r == 1
-                    if pp_writer is not None:
-                        status, obst = labels[r]
-                        pp_writer.writerow([p, status, ";".join(map(str, obst))])
-                    if fr_writer is not None:
-                        fr_writer.writerow([p, seen, cyclic, f"{cyclic / seen:.6f}"])
 
     elapsed = time.monotonic() - start
     return CensusReport(
         a=curve.A,
         b=curve.B,
         limit=x,
-        total_primes=seen,
+        total_primes=totals["count"],
         bad_primes=sorted(bad_all),
-        cyclic_count=cyclic,
-        split_counts=split_totals,
+        cyclic_count=totals["cyclic"],
+        split_counts={l: totals[str(l)] for l in SPLIT_PRIMES},
         elapsed_seconds=elapsed,
         label=label,
         extra={
             "chunks_computed": computed,
-            "chunks_reused": chunks - computed,
+            "chunks_reused": totals["chunks"] - computed,
             **{k: counts[k] for k in _RUN_COUNTS},
         },
     )
@@ -508,7 +501,7 @@ def split_count(curve: CurveOverQ, l: int, x: int) -> int:
     if l >= x:  # no p = 1 mod l up to x; keeps l in int64 for block % l
         return 0
     chunks = _chunks(block[block % l == 1] for block in stream)
-    return sum(_split(rad, l) for rad in _classified(curve, chunks))
+    return sum(_split(rad, l) for _, (rad, _) in _classified(curve, chunks))
 
 
 @dataclass(frozen=True)
@@ -538,14 +531,10 @@ def inclusion_exclusion_check(curve: CurveOverQ, x: int, n: int) -> InclusionExc
     """
     if n < 1:
         raise ValueError("modulus must be at least 1")
-    ell = tuple(q for q, _ in factorize(n)) if n > 1 else ()
-    rad_n = prod(ell)
-    # Squarefree divisors of n, as subsets of its prime support.
-    sq_divs = [1]
-    for q in ell:
-        sq_divs.extend(m * q for m in list(sq_divs))
+    rad_n = prod(q for q, _ in factorize(n))
+    sq_divs = divisors(rad_n)  # the squarefree divisors of n
     by_g = Counter()
-    for rad in _classified(curve, _chunks(sieve_primes(x))):
+    for _, (rad, _) in _classified(curve, _chunks(sieve_primes(x))):
         values, counts = np.unique(rad[rad > 0], return_counts=True)
         for r, k in zip(values.tolist(), counts.tolist()):
             by_g[gcd(r, rad_n)] += k

@@ -13,7 +13,9 @@ counts, the Galois image certifier) sits on top of `group_orders` and
 primes together in numpy uint64 lanes (Jacobian coordinates, one
 inversion per lane), slices sized by their baby tables.  Lane passes run
 until every lane settles, each on the lane's next point, with the giants
-half a stride off on every other pass; a lane keeps one lcm of point
+half a stride off on every other pass; a point that a pass was blind to
+(its ladder or giants met infinity) is scanned once more on the other
+giants before the lane draws its next one.  A lane keeps one lcm of point
 orders on the curve and one on its quadratic twist and settles when one
 window value fits both (Mestre's argument).  No lane takes a square
 root: for c = f(x0) it scans the point (x0 c, c^2) of
@@ -53,7 +55,7 @@ from .modmath import factorize, legendre, sqrt_residue
 
 _M64 = (1 << 64) - 1
 _EXHAUSTIVE_BELOW = 1 << 10
-_SAMPLE_BUDGET = 16         # points per lane, curve or twist, before IterationCap
+_SAMPLE_BUDGET = 16         # lane passes, new points or rescans, before IterationCap
 _STRUCTURE_BUDGET = 64      # samples before a structure loop aborts
 _LANE_LIMIT = 1 << 32       # uint64 lanes: residue products stay below 2**64
 _LAZY_BELOW = 1 << 21       # lane slices below it reduce each sum of products once
@@ -381,7 +383,9 @@ def _lane_orders(ps, As, xs, ys, shifted=False):
     the babies' x are distinct and each match is one annihilator of P; the
     window's multiples of ord(P) are all among them, so two consecutive
     ones differ by ord(P).  Returns per lane that multiple when it is
-    unique, else 0, and ord(P) when there are several, else 0.
+    unique, else 0, ord(P) when there are several, else 0, and whether
+    the ladder or a giant met Z = 0 with ord(P) > 2m + 1 (the scan was
+    blind: the other giants may see P).
     """
     p, a, x, y = (np.asarray(v, dtype=np.uint64) for v in (ps, As, xs, ys))
     n = len(p)
@@ -458,7 +462,7 @@ def _lane_orders(ps, As, xs, ys, shifted=False):
     pair = li[1:] == li[:-1]
     gaps[li[1:][pair]] = np.diff(k)[pair]
     gaps[~scanned] = 0
-    return orders, gaps
+    return orders, gaps, ~small & ~g_ok
 
 
 def _next_points(p, a, b, s):
@@ -490,17 +494,20 @@ def _lane_pass(p, a, b, s, stats, shifted=False):
     in s, which advances in place, and shifted goes to _lane_orders.
     Returns per lane the settled order, mapped back from the twist (0
     while the lane is open), ord(P) where the window held several
-    multiples of it (else 0), and whether P lay on the twist; stats
-    receives lane_points and lanes_twisted."""
+    multiples of it (else 0), whether P lay on the twist, and whether the
+    scan was blind (_lane_orders); stats receives lane_points and
+    lanes_twisted."""
     n = np.empty(len(p), dtype=np.int64)
     gaps = np.empty(len(p), dtype=np.int64)
     twisted = np.empty(len(p), dtype=bool)
+    blind = np.empty(len(p), dtype=bool)
     for part in _slices(len(p), _baby_rows(int(p.max())), _BABY_ENTRIES):
         ac, xc, cc, twisted[part] = _next_points(p[part], a[part], b[part], s[part])
-        n[part], gaps[part] = _lane_orders(p[part], ac, xc, cc, shifted)
+        n[part], gaps[part], blind[part] = _lane_orders(p[part], ac, xc, cc, shifted)
     stats["lane_points"] += len(p)
     stats["lanes_twisted"] += int(twisted.sum())
-    return np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n), gaps, twisted
+    n = np.where(twisted & (n > 0), 2 * p.astype(np.int64) + 2 - n, n)
+    return n, gaps, twisted, blind
 
 
 def _window_order(p, L):
@@ -536,17 +543,21 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
     Lane passes run over the lanes still open until none is, each on the
     lane's next point, with the giants half a stride off on every other
     pass, so a group order that fell on a giant falls on a baby offset.
+    A pass can be blind to a point of order above 2m + 1, whose ladder or
+    giants met Z = 0: the next pass, on the other giants, scans the same
+    point again (lanes_rescanned), and a point is scanned at most twice.
     A lane settles on exactly one multiple of its point's order in the
     Hasse window.  A point with several gives its order, folded into one
     lcm per side, L_E on E and L_T on the twist, and the lane settles when
     exactly one window value k has L_E | k and L_T | 2p + 2 - k.  By
     Mestre's theorem one side has a point of unique multiple for p > 457.
-    A lane still open after _SAMPLE_BUDGET points raises IterationCap.
+    A lane still open after _SAMPLE_BUDGET passes raises IterationCap.
 
     stats, a Counter when given, receives the number of orders settled in
     lanes (orders_batched) and counted exhaustively (orders_exhaustive),
     of points scanned (lane_points), of them on the twist (lanes_twisted),
-    and of lane passes (lane_passes).
+    of lane passes (lane_passes) and of points rescanned after a blind
+    pass (lanes_rescanned).
     """
     if len(primes) and np.max(primes) >= _LANE_LIMIT:
         raise ValueError("group orders need primes below 2**32")
@@ -566,9 +577,15 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
         a, b = _lane_residues(A, p), _lane_residues(B, p)
         s = _mix_seed(p, a, b, 1)
         L = np.ones((2, len(p)), dtype=np.int64)  # lcms of point orders on E and its twist
+        fresh = np.ones(len(p), dtype=bool)  # the lane's point was not scanned before
         for k in range(_SAMPLE_BUDGET):
-            n, gaps, twisted = _lane_pass(p, a, b, s, counts, k % 2 == 1)
+            drawn = s.copy()
+            n, gaps, twisted, blind = _lane_pass(p, a, b, s, counts, k % 2 == 1)
             counts["lane_passes"] += 1
+            rescan = blind & fresh  # a point the giants missed goes to the other giants, once
+            s[rescan] = drawn[rescan]
+            fresh = ~rescan
+            counts["lanes_rescanned"] += int(np.count_nonzero(rescan))
             several = np.flatnonzero(gaps)
             if len(several):
                 side = twisted[several].astype(np.intp)
@@ -579,9 +596,10 @@ def group_orders(A: int, B: int, primes, stats=None) -> list[int]:
             if not keep.any():
                 break
             lanes, p, a, b, s, L = lanes[keep], p[keep], a[keep], b[keep], s[keep], L[:, keep]
+            fresh = fresh[keep]
         else:
             raise IterationCap(f"group order over F_{p[0]} unresolved after "
-                               f"{_SAMPLE_BUDGET} points")
+                               f"{_SAMPLE_BUDGET} lane passes")
     if stats is not None:
         stats.update(counts)
     return out.tolist()

@@ -124,10 +124,13 @@ def test_cli_census_label(tmp_path, capsys):
 
 
 def test_cli_census_explicit_coefficients(capsys):
-    code, out, _ = run_cli(capsys, "census", "--a", "-3", "--b", "1",
-                           "--limit", "1000")
-    assert code == 0
-    assert "curve (-3, 1)" in out
+    # the last two curves have a prime where one giant set is blind to
+    # every point on the curve or on its twist (test_curve.BLIND)
+    for a, b, limit in (("-3", "1", "1000"), ("-512007", "-339773", "4000"),
+                        ("745260", "-980378", "5000")):
+        code, out, err = run_cli(capsys, "census", "--a", a, "--b", b, "--limit", limit)
+        assert (code, err) == (0, ""), (a, b, err)
+        assert f"curve ({a}, {b}) limit {limit}:" in out
 
 
 def test_cli_census_stats_leave_the_checkpoint_alone(capsys, tmp_path):

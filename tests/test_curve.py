@@ -158,7 +158,8 @@ def _good_reductions_above_exhaustive_cutoff():
 
 def _record_lane_passes(monkeypatch):
     """A list that receives, per lane pass of group_orders, its primes and
-    per lane the settled order, ord(P) and whether P lay on the twist."""
+    per lane the settled order, ord(P), whether P lay on the twist and
+    whether the scan was blind."""
     passes = []
     lane_pass = curve._lane_pass
 
@@ -197,7 +198,7 @@ def test_group_order_samples_curve_and_twist(monkeypatch):
         passes.clear()
         n = dict(zip(good, group_orders(A, B, good)))
         sides, gap_sides, last_gap = {}, {}, {}
-        for primes, _, gaps, twisted in passes:
+        for primes, _, gaps, twisted, _ in passes:
             for p, gap, tw in zip(primes, gaps, twisted):
                 sides.setdefault(p, set()).add(tw)
                 last_gap[p] = gap
@@ -274,10 +275,49 @@ def test_lane_giant_at_infinity_settles():
     n = brute_count(p, a, b)
     P = next(P for P in brute_points(p, a, b)[1:] if brute_point_order(P, p, a) == n)
     assert n == 977 + 19
-    orders, gaps = curve._lane_orders((p,), (a,), (P[0],), (P[1],))
+    orders, gaps, _ = curve._lane_orders((p,), (a,), (P[0],), (P[1],))
     assert (orders.tolist(), gaps.tolist()) == ([0], [0])
-    orders, gaps = curve._lane_orders((p,), (a,), (P[0],), (P[1],), shifted=True)
+    orders, gaps, _ = curve._lane_orders((p,), (a,), (P[0],), (P[1],), shifted=True)
     assert (orders.tolist(), gaps.tolist()) == ([n], [0])
+
+
+# Lanes blind on a pass.  Over F_3301 the window is [3188, 3416], m = 11
+# and the plain giants sit at 3199 + 23i.  y^2 = x^3 - 512007x - 339773
+# has 3337 = 3199 + 6 * 23 points, so every curve point meets infinity on
+# a plain pass, and its twist, Z/33 x Z/99, leaves two window values.
+# Over F_4327 the window is [4197, 4459], m = 12, and the other two are
+# models of one curve: its group Z/21 x Z/210 leaves 4200 and 4410, and
+# its twist has 4246 = 4196 + 2 * 25 points, a shifted giant, so every
+# twist point meets infinity on a shifted pass.  With no rescan the
+# second stays open, and with rescans after plain passes only the third.
+BLIND = [(-512007, -339773, 3301), (745260, -980378, 4327), (4205, 3290, 4327)]
+
+
+def test_blind_lanes_settle_on_a_rescan():
+    # a point the giants missed is scanned again on the other giants
+    for A, B, p in BLIND:
+        stats = Counter()
+        assert group_orders(A, B, [p], stats) == [_order_exhaustive(p, A % p, B % p)], (A, B)
+        assert stats["lanes_rescanned"] > 0, (A, B)
+
+
+def test_random_curves_settle_against_exhaustive_counts():
+    # A seeded sweep.  Random models y^2 = x^3 + u^4 a x + u^6 b of the
+    # blind curves share their groups, and so their blind giants, but each
+    # draws its own points; and random curves over Q at every good prime
+    # in (2^10, 2^13].  Every order settles on the exhaustive count.
+    rng = random.Random(5)
+    for A, B, p in BLIND[:2]:
+        for _ in range(150):
+            u = rng.randrange(1, p)
+            a, b = A * u**4 % p, B * u**6 % p
+            assert group_orders(a, b, [p]) == [_order_exhaustive(p, a, b)], (a, b, p)
+    primes = [p for p in prime_list(1 << 13) if p > 1 << 10]
+    for _ in range(12):
+        E = CurveOverQ(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+        good = [p for p in primes if E.delta_E % p]
+        assert group_orders(E.A, E.B, good) == [
+            _order_exhaustive(p, E.A % p, E.B % p) for p in good], E
 
 
 def test_lane_doubling_case_settles_on_a_later_pass(monkeypatch):
@@ -291,7 +331,7 @@ def test_lane_doubling_case_settles_on_a_later_pass(monkeypatch):
     P = (190, 675)
     assert brute_point_order(P, p, a) == 24 and (979 - 19) % 24 == 0
     for shifted in (False, True):
-        orders, gaps = curve._lane_orders((p,), (a,), (P[0],), (P[1],), shifted)
+        orders, gaps, _ = curve._lane_orders((p,), (a,), (P[0],), (P[1],), shifted)
         assert (orders.tolist(), gaps.tolist()) == ([0], [0]), shifted
     # group_orders' first pass leaves such lanes, and lanes on a point of
     # small order, open with nothing learnt; every one settles in the lanes
@@ -303,7 +343,7 @@ def test_lane_doubling_case_settles_on_a_later_pass(monkeypatch):
         good = [p for p in prime_list(1 << 13) if p > 1 << 10 and E.delta_E % p]
         passes.clear()
         n = dict(zip(good, group_orders(A, B, good)))
-        primes, settled, gaps, _ = passes[0]
+        primes, settled, gaps, _, _ = passes[0]
         open_ = [q for q, k, gap in zip(primes, settled, gaps) if not k and not gap]
         assert len(open_) >= 10, (A, B)
         assert all(n[q] == brute_count(q, A % q, B % q) for q in open_), (A, B)
@@ -326,7 +366,7 @@ def test_lanes_settle_points_with_several_multiples(monkeypatch):
         good = [p for p in prime_list(20_000) if p > 1 << 10 and E.delta_E % p]
         passes.clear()
         group_orders(A, B, good)
-        (p0, _, g0, t0), (p1, _, g1, t1) = passes[:2]
+        (p0, _, g0, t0, _), (p1, _, g1, t1, _) = passes[:2]
         gap0, tw0 = dict(zip(p0, g0)), dict(zip(p0, t0))
         twice = [(p, tw) for p, gap, tw in zip(p1, g1, t1) if gap and gap0[p]]
         picked[A, B] = [p for p, _ in twice]
@@ -460,7 +500,7 @@ def test_lane_routes_by_point_order():
     assert sorted(points) == list(range(3, 41))
     found = 0
     for r, (a, (x, y)) in points.items():
-        orders, gaps = curve._lane_orders((p,), (a,), (x,), (y,))
+        orders, gaps, _ = curve._lane_orders((p,), (a,), (x,), (y,))
         assert orders.tolist() == [0], r
         assert gaps.tolist() == [0] if r <= 19 else gaps.tolist() in ([0], [r]), (r, gaps)
         found += gaps.tolist() == [r]
